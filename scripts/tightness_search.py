@@ -41,7 +41,7 @@ def main() -> None:
             best = (slack, omega, chi, g)
         if chi > 2 * omega - 2:
             print("candidate with chi close to 2*omega:")
-            print(to_json_graph(g))
+            print(to_json_graph(g), end="")
     if best is None:
         print("no members with omega >= 4 sampled; increase --count or --max-n")
         return

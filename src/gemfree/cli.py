@@ -32,7 +32,7 @@ from .generators import (
     random_class_member,
 )
 from .graph_io import FORMATS, read_graph, serialize
-from .graphs import Coloring, Graph, GraphError, bits
+from .graphs import Graph, GraphError
 from .partition import partition_for, run_all_checks
 from .patterns import PatternError, is_class_member, pattern
 from .suite import run_suite

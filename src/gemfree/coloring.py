@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .exact import max_clique
-from .graphs import Coloring, Graph, GraphError, bits, induced_subgraph, mask_of
-from .partition import WBCPartition, build_partition
-from .patterns import PatternWitness, find_induced, is_class_member, is_p4_free
+from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, mask_of
+from .partition import WBCPartition, partition_for
+from .patterns import PatternWitness, find_induced, is_class_member
 
 
 class ClassViolationError(ValueError):
@@ -98,71 +97,31 @@ def greedy_coloring(g: Graph, order: list[int]) -> Coloring:
 
 
 def color_cograph(g: Graph) -> Coloring:
-    """Optimal coloring of a P4-free graph via its cotree.
-
-    Disconnected level: color components independently, reusing colors.
-    Co-disconnected level (a join): children use disjoint color ranges.
-    """
-    w = find_induced(g, "p4")
-    if w is not None:
-        raise ClassViolationError(w)
-
-    def rec(mask: int) -> dict[int, int]:
-        verts = list(bits(mask))
-        if len(verts) == 1:
-            return {verts[0]: 1}
-        comps = g.components(mask)
-        if len(comps) > 1:
-            out: dict[int, int] = {}
-            for comp in comps:
-                out.update(rec(comp))
-            return out
-        # connected: the complement restricted to mask must be disconnected
-        co_comps = _co_components(g, mask)
-        if len(co_comps) == 1:
-            raise CertificationError("connected and co-connected piece in a cograph")
-        out = {}
-        offset = 0
-        for comp in co_comps:
-            sub = rec(comp)
-            for v, c in sub.items():
-                out[v] = c + offset
-            offset += max(sub.values())
-        return out
-
-    if g.n == 0:
-        return Coloring((), 0)
-    assignment = rec(g.full_mask)
+    """Optimal coloring of a P4-free graph via its cotree (see `cograph_coloring`)."""
+    assignment = cograph_coloring(g, g.full_mask)
+    if assignment is None:
+        raise ClassViolationError(find_induced(g, "p4"))
     return Coloring(tuple(assignment[v] for v in range(g.n)))
 
 
-def _co_components(g: Graph, mask: int) -> list[int]:
-    """Components of the complement restricted to `mask`."""
-    remaining = mask
-    comps = []
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= mask & ~g.adj[v] & ~(1 << v)
-            grow &= remaining & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+def _member_partition(g: Graph) -> WBCPartition:
+    """Shared colorer front end: the partition of a nonempty class member."""
+    if g.n < 1:
+        raise GraphError("coloring requires at least one vertex")
+    member, witness = is_class_member(g)
+    if not member:
+        assert witness is not None
+        raise ClassViolationError(witness)
+    return partition_for(g)
 
 
-def _clique_components(g: Graph, cell: int, where: str,
+def _clique_components(g: Graph, cell: int, what: str,
                        trace: ColoringTrace | None) -> list[int]:
     """Components of a cell, certified to be cliques (P3-freeness consequence)."""
     comps = g.components(cell)
     for comp in comps:
         if not g.is_clique(comp):
-            raise CertificationError(f"component of {where} is not a clique", trace=trace)
+            raise CertificationError(f"{what} is not a clique", trace=trace)
     return comps
 
 
@@ -181,17 +140,8 @@ def _assign_pool(colors: list[int], comp: int, pool: list[int], where: str,
 
 def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
     """Proper coloring of a class member with at most 2*omega(G) colors."""
-    if g.n < 1:
-        raise GraphError("coloring requires at least one vertex")
-    member, witness = is_class_member(g)
-    if not member:
-        assert witness is not None
-        raise ClassViolationError(witness)
-
-    mc = max_clique(g)
-    a = tuple(sorted(bits(mc.witness)))
-    omega = mc.omega
-    p = build_partition(g, a)
+    p = _member_partition(g)
+    a, omega = p.A, p.omega
     trace = ColoringTrace(A=a)
     colors = [0] * g.n
 
@@ -212,7 +162,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
         if stray:
             raise CertificationError("cells outside C_{1,2} despite omega <= 2", trace=trace)
         pool = list(range(omega + 1, 2 * omega + 1))
-        for comp in _clique_components(g, c12, "C_{1,2}", trace):
+        for comp in _clique_components(g, c12, "component of C_{1,2}", trace):
             _assign_pool(colors, comp, pool, "C_{1,2}", trace)
     else:
         case1 = any(cell and pair[0] >= 3 for pair, cell in p.C.items())
@@ -226,7 +176,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
                     continue
                 cp = p.Cprime[pair]
                 pool = sorted(p.D[pair])
-                for comp in _clique_components(g, cp, f"C'_{pair}", trace):
+                for comp in _clique_components(g, cp, f"component of C'_{pair}", trace):
                     _assign_pool(colors, comp, pool, f"C'_{pair} from D{pair}", trace)
                 for v in bits(cell & ~cp):
                     colors[v] = pair[0]
@@ -282,16 +232,16 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
         trace.case = "Case2-simple"
         if cp1:
             pool = sorted(d1)
-            for comp in _clique_components(g, cp1, f"C'_(1,{j})", trace):
+            for comp in _clique_components(g, cp1, f"component of C'_(1,{j})", trace):
                 _assign_pool(colors, comp, pool, f"C'_(1,{j}) from D(1,{j})", trace)
         if cp2:
             pool = sorted(d2)
-            for comp in _clique_components(g, cp2, f"C'_(2,{ell})", trace):
+            for comp in _clique_components(g, cp2, f"component of C'_(2,{ell})", trace):
                 _assign_pool(colors, comp, pool, f"C'_(2,{ell}) from D(2,{ell})", trace)
     elif len(shared) >= 2:
         trace.case = "Case2.1"
-        comps1 = _clique_components(g, cp1, f"C'_(1,{j})", trace)
-        comps2 = _clique_components(g, cp2, f"C'_(2,{ell})", trace)
+        comps1 = _clique_components(g, cp1, f"component of C'_(1,{j})", trace)
+        comps2 = _clique_components(g, cp2, f"component of C'_(2,{ell})", trace)
         s_comp = max(comps1, key=lambda m: (m.bit_count(), -(m & -m)))
         t_comp = max(comps2, key=lambda m: (m.bit_count(), -(m & -m)))
         trace.S = tuple(bits(s_comp))
@@ -315,10 +265,10 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
     else:
         trace.case = "Case2.2"
         pool2 = sorted(d2)
-        for comp in _clique_components(g, cp2, f"C'_(2,{ell})", trace):
+        for comp in _clique_components(g, cp2, f"component of C'_(2,{ell})", trace):
             _assign_pool(colors, comp, pool2, f"C'_(2,{ell}) from D(2,{ell})", trace)
         pool1 = sorted(d1 - shared) + [omega + 1]
-        for comp in _clique_components(g, cp1, f"C'_(1,{j})", trace):
+        for comp in _clique_components(g, cp1, f"component of C'_(1,{j})", trace):
             used = _assign_pool(colors, comp, pool1, f"C'_(1,{j}) from D minus shared + w+1", trace)
             if omega + 1 in used:
                 u_vertices.append(list(bits(comp))[used.index(omega + 1)])
@@ -347,7 +297,7 @@ def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrac
     c12 = p.C.get((1, 2), 0)
     if not c12:
         return
-    comps = _clique_components(g, c12, "C_{1,2}", trace)
+    comps = _clique_components(g, c12, "component of C_{1,2}", trace)
     wc = max(comp.bit_count() for comp in comps)
     upper_pool = list(range(omega + 2, 2 * omega + 1))
     if wc <= omega - 1:
@@ -384,16 +334,8 @@ def color_three_omega(g: Graph) -> Coloring:
     Splits V(G) minus C_{1,2} into two P4-free pieces, colors each optimally
     via the cotree, then gives C_{1,2} fresh colors.
     """
-    if g.n < 1:
-        raise GraphError("coloring requires at least one vertex")
-    member, witness = is_class_member(g)
-    if not member:
-        assert witness is not None
-        raise ClassViolationError(witness)
-    mc = max_clique(g)
-    a = tuple(sorted(bits(mc.witness)))
-    omega = mc.omega
-    p = build_partition(g, a)
+    p = _member_partition(g)
+    a, omega = p.A, p.omega
 
     piece1 = 0  # (v_k u I_k for k >= 2) plus all cells with i >= 2
     for k in range(2, omega + 1):
@@ -411,16 +353,13 @@ def color_three_omega(g: Graph) -> Coloring:
     for label, piece in (("piece1", piece1), ("piece2", piece2)):
         if not piece:
             continue
-        sub, verts = induced_subgraph(g, piece)
-        if not is_p4_free(sub):
+        piece_colors = cograph_coloring(g, piece)
+        if piece_colors is None:
             raise CertificationError(f"{label} is not P4-free (contradicts the construction)")
-        sub_col = color_cograph(sub)
-        for i, v in enumerate(verts):
-            colors[v] = sub_col.colors[i] + offset
-        offset += sub_col.num_colors
-    for comp in g.components(c12):
-        if not g.is_clique(comp):
-            raise CertificationError("C_{1,2} component is not a clique")
+        for v, c in piece_colors.items():
+            colors[v] = c + offset
+        offset += max(piece_colors.values())
+    for comp in _clique_components(g, c12, "C_{1,2} component", None):
         for i, v in enumerate(bits(comp)):
             colors[v] = offset + 1 + i
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graphs import Coloring, Graph, bits, complement, mask_of
+from .graphs import Coloring, Graph, bits, complement
 
 
 class SizeGuardError(ValueError):
@@ -45,11 +45,24 @@ def _greedy_color_bound(g: Graph, cand: int) -> int:
 
 
 def clique_number(g: Graph) -> int:
-    """Exact clique number by branch and bound over bitmask candidate sets."""
-    best = 0
+    """Exact clique number."""
+    return max_clique(g).omega
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+
+def max_clique(g: Graph) -> CliqueResult:
+    """Clique number plus the lexicographically least maximum clique.
+
+    One branch and bound over bitmask candidate sets. The depth-first search
+    adds candidates in ascending order, so it meets cliques in lexicographic
+    order of their ascending vertex lists; pruning never cuts a branch that
+    could beat the incumbent, and only a strictly larger clique replaces it.
+    So the first maximum clique met, which is the one kept, is the least.
+    """
+    best = 0
+    witness = 0
+
+    def expand(size: int, clique: int, cand: int) -> None:
+        nonlocal best, witness
         while cand:
             if size + _greedy_color_bound(g, cand) <= best:
                 return
@@ -58,47 +71,14 @@ def clique_number(g: Graph) -> int:
             new = cand & g.adj[v]
             if size + 1 + new.bit_count() > best:
                 if new:
-                    expand(size + 1, new)
+                    expand(size + 1, clique | 1 << v, new)
                 elif size + 1 > best:
                     best = size + 1
+                    witness = clique | 1 << v
 
     if g.n:
-        expand(0, g.full_mask)
-    return best
-
-
-def _has_clique(g: Graph, cand: int, k: int) -> bool:
-    """Does `cand` contain a clique of size k?"""
-    if k <= 0:
-        return True
-    if cand.bit_count() < k:
-        return False
-    if _greedy_color_bound(g, cand) < k:
-        return False
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= ~(1 << v)
-        if _has_clique(g, cand & g.adj[v], k - 1):
-            return True
-    return False
-
-
-def max_clique(g: Graph) -> CliqueResult:
-    """Clique number plus the lexicographically least maximum clique."""
-    omega = clique_number(g)
-    witness = 0
-    cand = g.full_mask
-    need = omega
-    while need:
-        for v in bits(cand):
-            if _has_clique(g, cand & g.adj[v], need - 1):
-                witness |= 1 << v
-                cand &= g.adj[v]
-                need -= 1
-                break
-        else:  # pragma: no cover - would contradict clique_number
-            raise AssertionError("clique reconstruction failed")
-    return CliqueResult(omega, witness)
+        expand(0, 0, g.full_mask)
+    return CliqueResult(best, witness)
 
 
 def independence_number(g: Graph) -> int:
@@ -204,24 +184,3 @@ def chi_alpha2_shortcut(g: Graph) -> int:
     h.add_edges_from(co.edges())
     matching = nx.max_weight_matching(h, maxcardinality=True)
     return g.n - len(matching)
-
-
-def alpha2_optimal_coloring(g: Graph) -> Coloring:
-    """Optimal coloring witness for the alpha <= 2 shortcut."""
-    if independence_number(g) > 2:
-        raise ValueError("shortcut requires independence number <= 2")
-    co = complement(g)
-    h = nx.Graph()
-    h.add_nodes_from(range(co.n))
-    h.add_edges_from(co.edges())
-    matching = nx.max_weight_matching(h, maxcardinality=True)
-    colors = [0] * g.n
-    c = 0
-    for u, v in sorted(tuple(sorted(e)) for e in matching):
-        c += 1
-        colors[u] = colors[v] = c
-    for v in range(g.n):
-        if colors[v] == 0:
-            c += 1
-            colors[v] = c
-    return Coloring(tuple(colors), c)

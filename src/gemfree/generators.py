@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bits, build_graph, mask_of
+from .graphs import Graph, GraphError, bits, build_graph
 from .patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -166,7 +166,9 @@ def _gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
-    """Deterministic sampler of {P3 u P2, gem}-free graphs on n vertices."""
+    """Deterministic sampler of {P3 u P2, gem}-free graphs on n >= 1 vertices."""
+    if n < 1:
+        raise GraphError(f"sampling requires at least one vertex, got n={n}")
     rng = random.Random((strategy, n, seed).__repr__())
     if strategy == "reject":
         if n > 16:

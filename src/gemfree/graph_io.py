@@ -26,6 +26,8 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge line before header")
+            if len(parts) != 3:
+                raise GraphError(f"DIMACS edge line {lineno} needs two endpoints: {line!r}")
             u, v = int(parts[1]), int(parts[2])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"DIMACS endpoint out of range on line {lineno}")
@@ -80,7 +82,7 @@ def parse_json_graph(text: str, name: str = "") -> Graph:
 
 
 def to_json_graph(g: Graph) -> str:
-    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()], "name": g.name})
+    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()], "name": g.name}) + "\n"
 
 
 def to_dot(g: Graph) -> str:

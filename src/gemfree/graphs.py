@@ -33,8 +33,23 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+def _components(adj: tuple[int, ...], remaining: int, flip: int) -> list[int]:
+    """Components of <remaining> in the graph (flip=0) or its complement (flip=-1)."""
+    comps = []
+    while remaining:
+        start = remaining & -remaining
+        comp = start
+        frontier = start
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v] ^ flip
+            grow &= remaining & ~comp
+            comp |= grow
+            frontier = grow
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -85,37 +97,12 @@ class Graph:
                 out.append((v, u))
         return out
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors_of_set(self, mask: int) -> int:
-        """Union of neighborhoods of the set, minus nothing (open N(S) may hit S)."""
-        m = 0
-        for v in bits(mask):
-            m |= self.adj[v]
-        return m
-
     def components(self, within: int | None = None) -> list[int]:
         """Connected-component masks, restricted to `within` if given.
 
         Returned in ascending order of least vertex.
         """
-        remaining = self.full_mask if within is None else within
-        comps = []
-        while remaining:
-            start = remaining & -remaining
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v]
-                grow &= remaining & ~comp
-                comp |= grow
-                frontier = grow
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
+        return _components(self.adj, self.full_mask if within is None else within, 0)
 
     def is_clique(self, mask: int) -> bool:
         for v in bits(mask):
@@ -181,6 +168,35 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     return Graph(len(verts), tuple(adj), g.name), verts
 
 
+def cograph_coloring(g: Graph, mask: int) -> dict[int, int] | None:
+    """Optimal coloring of <mask> by its cotree, or None if <mask> has an induced P4.
+
+    A P4-free graph on two or more vertices is disconnected or co-disconnected
+    (Seinsche 1974), so the walk meets a connected, co-connected node exactly
+    when <mask> has a P4. Components reuse colors; the co-components of a join
+    take disjoint color ranges.
+    """
+    if not mask & (mask - 1):
+        return {mask.bit_length() - 1: 1} if mask else {}
+    comps = _components(g.adj, mask, 0)
+    is_join = len(comps) == 1
+    if is_join:
+        comps = _components(g.adj, mask, -1)
+        if len(comps) == 1:
+            return None
+    out: dict[int, int] = {}
+    offset = 0
+    for comp in comps:
+        sub = cograph_coloring(g, comp)
+        if sub is None:
+            return None
+        for v, c in sub.items():
+            out[v] = c + offset
+        if is_join:
+            offset += max(sub.values())
+    return out
+
+
 def bracket_complete(g: Graph, s: int, t: int) -> bool:
     """True iff every vertex of S is adjacent to every vertex of T."""
     if s & t:
@@ -214,9 +230,6 @@ class Coloring:
     @property
     def distinct_colors(self) -> int:
         return len(set(self.colors))
-
-    def color_class(self, c: int) -> int:
-        return mask_of(v for v, cv in enumerate(self.colors) if cv == c)
 
     def normalize(self) -> "Coloring":
         """Renumber colors 1..k in order of first occurrence."""

@@ -12,12 +12,12 @@ reports; on class members every clause must pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .exact import clique_number, max_clique
 from .graphs import Graph, bits, bracket_complete, bracket_empty, induced_subgraph, mask_of
-from .patterns import find_induced, is_p3_free, is_p4_free
+from .patterns import find_induced
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
 
@@ -43,9 +43,6 @@ class WBCPartition:
     def omega(self) -> int:
         return len(self.A)
 
-    def position_vertex(self, k: int) -> int:
-        return self.A[k - 1]
-
     def na_positions(self, mask: int) -> frozenset[int]:
         """Clique positions whose vertex has a neighbor in `mask`."""
         return frozenset(
@@ -65,11 +62,21 @@ class WBCPartition:
 def build_partition(g: Graph, a: list[int] | tuple[int, ...]) -> WBCPartition:
     """The unique partition determined by G and the ordered maximum clique A."""
     a = tuple(a)
-    amask = mask_of(a)
-    if len(set(a)) != len(a) or not g.is_clique(amask):
+    if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
         raise PartitionError("A is not a clique")
     if len(a) != clique_number(g):
         raise PartitionError("A is not a maximum clique")
+    return _partition(g, a)
+
+
+def partition_for(g: Graph) -> WBCPartition:
+    """Partition relative to the canonical (lex-least, ascending) maximum clique."""
+    return _partition(g, tuple(bits(max_clique(g).witness)))
+
+
+def _partition(g: Graph, a: tuple[int, ...]) -> WBCPartition:
+    """Partition relative to A, which the caller guarantees is a maximum clique."""
+    amask = mask_of(a)
     omega = len(a)
     i_sets = [0] * omega
     c_sets = {pair: 0 for pair in lex_pairs(omega)}
@@ -94,11 +101,6 @@ def build_partition(g: Graph, a: list[int] | tuple[int, ...]) -> WBCPartition:
             k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp
         )
     return WBCPartition(g, a, tuple(i_sets), c_sets, cprime, d_sets)
-
-
-def partition_for(g: Graph) -> WBCPartition:
-    """Partition relative to the canonical (lex-least, ascending) maximum clique."""
-    return build_partition(g, sorted(bits(max_clique(g).witness)))
 
 
 @dataclass(frozen=True)
@@ -274,11 +276,12 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
                 )
         # (ii)
         sub, _ = induced_subgraph(g, cp)
+        wc = clique_number(sub)
         entries.append(
             CheckEntry(
                 "lemma_class.ii",
-                {"i": i, "j": j, "omega_Cprime": clique_number(sub), "D_size": len(p.D[(i, j)])},
-                clique_number(sub) <= len(p.D[(i, j)]),
+                {"i": i, "j": j, "omega_Cprime": wc, "D_size": len(p.D[(i, j)])},
+                wc <= len(p.D[(i, j)]),
             )
         )
         # (iii): [C_{i,j}, C_{i,l}] = [C_{i,j}, C_{j,l}] = empty for l > j >= 3

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .graphs import Graph, bits, build_graph, disjoint_union, induced_subgraph, join, mask_of
+from .graphs import Graph, bits, build_graph, cograph_coloring, disjoint_union, join
 
 MAX_PATTERN = 8
 
@@ -89,15 +89,16 @@ class PatternWitness:
     embedding: tuple[int, ...]
 
     def verify(self, host: Graph, pat: Pattern) -> bool:
-        sub, verts = induced_subgraph(host, mask_of(self.embedding))
-        if sub.n != pat.graph.n:
+        """True iff the embedding is an induced copy of the pattern, vertex by vertex."""
+        emb = self.embedding
+        distinct_inside = {v for v in emb if 0 <= v < host.n}
+        if len(distinct_inside) != len(emb) or len(emb) != pat.graph.n:
             return False
-        # re-check as a labeled embedding, then as an isomorphism for good measure
-        for a in range(pat.graph.n):
-            for b in range(a + 1, pat.graph.n):
-                if pat.graph.has_edge(a, b) != host.has_edge(self.embedding[a], self.embedding[b]):
-                    return False
-        return is_isomorphic(sub, pat.graph)
+        return all(
+            pat.graph.has_edge(a, b) == host.has_edge(emb[a], emb[b])
+            for a in range(pat.graph.n)
+            for b in range(a + 1, pat.graph.n)
+        )
 
 
 def find_induced(host: Graph, pat: Pattern | str | Graph) -> PatternWitness | None:
@@ -150,7 +151,8 @@ def is_p3_free(g: Graph) -> bool:
 
 
 def is_p4_free(g: Graph) -> bool:
-    return find_induced(g, "p4") is None
+    """P4-free iff the cotree walk finds no prime node (see `cograph_coloring`)."""
+    return cograph_coloring(g, g.full_mask) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

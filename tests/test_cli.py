@@ -48,6 +48,12 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+def test_check_truncated_dimacs_edge_is_input_error(tmp_path, capsys):
+    p = tmp_path / "truncated.col"
+    p.write_text("p edge 3 1\ne 1\n")
+    assert main(["check", str(p)]) == 2
+
+
 def test_color_two_omega(files, capsys):
     code, out = run(capsys, "color", files["groetzsch"], "--algorithm", "two-omega")
     rep = json.loads(out)
@@ -103,6 +109,13 @@ def test_gen_random_deterministic(capsys):
     code1, out1 = run(capsys, "gen", "random", "--n", "8", "--seed", "5")
     code2, out2 = run(capsys, "gen", "random", "--n", "8", "--seed", "5")
     assert code1 == code2 == 0 and out1 == out2
+    graph, meta = (json.loads(line) for line in out1.splitlines())
+    assert graph["n"] == 8 and meta["meta"]["seed"] == 5
+
+
+@pytest.mark.parametrize("strategy", ["reject", "expand", "prune"])
+def test_gen_random_rejects_empty_graph(strategy, capsys):
+    assert main(["gen", "random", "--n", "0", "--strategy", strategy]) == 2
 
 
 def test_suite_size_budget_zero(capsys):

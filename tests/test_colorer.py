@@ -13,7 +13,14 @@ from gemfree.coloring import (
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, join, mask_of
-from gemfree.patterns import NAMED_PATTERNS, complete_graph, cycle_graph, path_graph
+from gemfree.patterns import (
+    NAMED_PATTERNS,
+    complete_graph,
+    cycle_graph,
+    find_induced,
+    is_p4_free,
+    path_graph,
+)
 
 from conftest import small_graphs
 
@@ -68,11 +75,20 @@ def test_cograph_rejects_p4():
         color_cograph(path_graph(4))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(min_n=1, max_n=9))
+def test_cotree_p4_test_matches_pattern_search(g):
+    w = find_induced(g, "p4")
+    assert is_p4_free(g) == (w is None)
+    if w is not None:
+        with pytest.raises(ClassViolationError) as exc:
+            color_cograph(g)
+        assert exc.value.witness == w
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs(min_n=1, max_n=8))
 def test_cograph_optimal_when_p4_free(g):
-    from gemfree.patterns import is_p4_free
-
     if not is_p4_free(g):
         return
     col = color_cograph(g)

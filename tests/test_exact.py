@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -48,6 +50,9 @@ def test_max_clique_witness_is_maximal_clique(g):
     outside = g.full_mask & ~r.witness
     for v in bits(outside):
         assert not g.is_clique(r.witness | (1 << v))
+    least = next(mask_of(c) for c in itertools.combinations(range(g.n), r.omega)
+                 if g.is_clique(mask_of(c)))
+    assert r.witness == least
 
 
 def test_independence_numbers():

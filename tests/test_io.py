@@ -30,7 +30,8 @@ def test_dimacs_comments_and_1_based():
 
 @pytest.mark.parametrize(
     "text",
-    ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n"],
+    ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n",
+     "p edge 3 1\ne 1\n"],
 )
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(GraphError):

@@ -8,6 +8,7 @@ from gemfree.graphs import build_graph, induced_subgraph, mask_of
 from gemfree.patterns import (
     NAMED_PATTERNS,
     PatternError,
+    PatternWitness,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -71,6 +72,11 @@ def test_witness_reverifies():
     w = find_induced(g, "p3up2")
     assert w is not None
     assert w.verify(g, pattern("p3up2"))
+    p4 = pattern("p4")
+    assert PatternWitness("p4", (0, 1, 2, 3)).verify(path_graph(4), p4)
+    assert not PatternWitness("p4", (0, 1, 2, 3)).verify(cycle_graph(4), p4)  # extra edge 3-0
+    assert not PatternWitness("p4", (0, 1, 0, 1)).verify(path_graph(4), p4)  # repeated vertex
+    assert not PatternWitness("p4", (0, 1, 2, 4)).verify(path_graph(4), p4)  # not a host vertex
 
 
 def test_find_induced_deterministic_lex_least():
