@@ -105,7 +105,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         verified = verify_proper(g, coloring)[0]
     else:
         raise GraphError(f"unknown algorithm {args.algorithm!r}")
-    omega = max_clique(g).omega
+    omega = len(trace.A) if args.algorithm == "two-omega" else max_clique(g).omega
     rep = _base_report(
         args,
         algorithm=args.algorithm,

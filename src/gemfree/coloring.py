@@ -115,6 +115,20 @@ def _member_partition(g: Graph) -> WBCPartition:
     return partition_for(g)
 
 
+def _certify(g: Graph, colors: list[int], bound: int, bound_name: str,
+             trace: ColoringTrace | None) -> Coloring:
+    """Shared colorer tail: totality, the color bound, then properness."""
+    if 0 in colors:
+        raise CertificationError("coloring not total", trace=trace)
+    coloring = Coloring(tuple(colors))
+    if coloring.num_colors > bound:
+        raise CertificationError(f"bound {bound_name} exceeded", trace=trace)
+    ok, conflict = verify_proper(g, coloring)
+    if not ok:
+        raise CertificationError("improper coloring produced", conflict=conflict, trace=trace)
+    return coloring
+
+
 def _clique_components(g: Graph, cell: int, what: str,
                        trace: ColoringTrace | None) -> list[int]:
     """Components of a cell, certified to be cliques (P3-freeness consequence)."""
@@ -189,14 +203,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
             _color_case2(g, p, colors, trace)
         _color_c12(g, p, colors, trace)
 
-    coloring = Coloring(tuple(colors))
-    if any(c == 0 for c in colors):
-        raise CertificationError("coloring not total", trace=trace)
-    if coloring.num_colors > 2 * omega:
-        raise CertificationError("bound 2*omega exceeded", trace=trace)
-    ok, conflict = verify_proper(g, coloring)
-    if not ok:
-        raise CertificationError("improper coloring produced", conflict=conflict, trace=trace)
+    coloring = _certify(g, colors, 2 * omega, "2*omega", trace)
     trace.verified = True
     return coloring, trace
 
@@ -363,10 +370,6 @@ def color_three_omega(g: Graph) -> Coloring:
         for i, v in enumerate(bits(comp)):
             colors[v] = offset + 1 + i
 
-    coloring = Coloring(tuple(colors)).normalize()
-    if coloring.num_colors > max(3 * omega - 2, 1):
-        raise CertificationError("bound 3*omega-2 exceeded")
-    ok, conflict = verify_proper(g, coloring)
-    if not ok:
-        raise CertificationError("improper coloring produced", conflict=conflict)
-    return coloring
+    # colors are contiguous (each piece uses 1..k, C_{1,2} takes the next
+    # ones), so the bound reads the same before and after normalizing
+    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2", None).normalize()

@@ -49,14 +49,15 @@ def clique_number(g: Graph) -> int:
     return max_clique(g).omega
 
 
-def max_clique(g: Graph) -> CliqueResult:
-    """Clique number plus the lexicographically least maximum clique.
+def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
+    """Clique number plus the lexicographically least maximum clique of <within>.
 
-    One branch and bound over bitmask candidate sets. The depth-first search
-    adds candidates in ascending order, so it meets cliques in lexicographic
-    order of their ascending vertex lists; pruning never cuts a branch that
-    could beat the incumbent, and only a strictly larger clique replaces it.
-    So the first maximum clique met, which is the one kept, is the least.
+    `within` is a vertex mask of G (default: all vertices). One branch and
+    bound over bitmask candidate sets. The depth-first search adds
+    candidates in ascending order, so it meets cliques in lexicographic order
+    of their ascending vertex lists; pruning never cuts a branch that could
+    beat the incumbent, and only a strictly larger clique replaces it. So the
+    first maximum clique met, which is the one kept, is the least.
     """
     best = 0
     witness = 0
@@ -76,8 +77,7 @@ def max_clique(g: Graph) -> CliqueResult:
                     best = size + 1
                     witness = clique | 1 << v
 
-    if g.n:
-        expand(0, 0, g.full_mask)
+    expand(0, 0, g.full_mask if within is None else within)
     return CliqueResult(best, witness)
 
 

@@ -58,8 +58,10 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"edge-list line needs two endpoints: {ln!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     return build_graph(n, edges, name)
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .exact import clique_number, max_clique
-from .graphs import Graph, bits, bracket_complete, bracket_empty, induced_subgraph, mask_of
+from .exact import max_clique
+from .graphs import Graph, bits, bracket_complete, bracket_empty, mask_of
 from .patterns import find_induced
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
@@ -64,7 +64,7 @@ def build_partition(g: Graph, a: list[int] | tuple[int, ...]) -> WBCPartition:
     a = tuple(a)
     if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
         raise PartitionError("A is not a clique")
-    if len(a) != clique_number(g):
+    if len(a) != max_clique(g).omega:
         raise PartitionError("A is not a maximum clique")
     return _partition(g, a)
 
@@ -147,15 +147,9 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     """
     entries = []
     for (i, j), cell in p.C.items():
-        sub, verts = induced_subgraph(g, cell)
-        w = find_induced(sub, "p3")
+        w = find_induced(g, "p3", cell)
         entries.append(
-            CheckEntry(
-                "fact1.i",
-                {"i": i, "j": j},
-                w is None,
-                tuple(verts[v] for v in w.embedding) if w else None,
-            )
+            CheckEntry("fact1.i", {"i": i, "j": j}, w is None, w.embedding if w else None)
         )
         for a in bits(cell):
             required = [k for k in range(1, j + 1) if k not in (i, j)]
@@ -183,15 +177,9 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     for (i, j), cell in p.C.items():
         if j < 3:
             continue
-        sub, verts = induced_subgraph(g, cell)
-        w = find_induced(sub, "p4")
+        w = find_induced(g, "p4", cell)
         entries.append(
-            CheckEntry(
-                "lemma_gem.i",
-                {"i": i, "j": j},
-                w is None,
-                tuple(verts[v] for v in w.embedding) if w else None,
-            )
+            CheckEntry("lemma_gem.i", {"i": i, "j": j}, w is None, w.embedding if w else None)
         )
         comps = g.components(cell)
         for comp in comps:
@@ -207,8 +195,7 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
                             None if ok else tuple(v for v in bits(comp) if not g.has_edge(v, vl)),
                         )
                     )
-            sub_c, _ = induced_subgraph(g, comp)
-            wc = clique_number(sub_c)
+            wc = max_clique(g, comp).omega
             bound = sum(1 for k in range(1, omega + 1) if not g.adj[p.A[k - 1]] & comp)
             entries.append(
                 CheckEntry(
@@ -275,8 +262,7 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
                     )
                 )
         # (ii)
-        sub, _ = induced_subgraph(g, cp)
-        wc = clique_number(sub)
+        wc = max_clique(g, cp).omega
         entries.append(
             CheckEntry(
                 "lemma_class.ii",

@@ -101,29 +101,29 @@ class PatternWitness:
         )
 
 
-def find_induced(host: Graph, pat: Pattern | str | Graph) -> PatternWitness | None:
-    """Lexicographically least induced embedding of the pattern, or None.
+def find_induced(
+    host: Graph, pat: Pattern | str | Graph, within: int | None = None
+) -> PatternWitness | None:
+    """Lexicographically least induced embedding of the pattern inside `within`, or None.
 
-    The embedding tuple maps pattern vertex i to its host image; the search
-    assigns pattern vertices in index order and tries hosts ascending, so the
-    first hit is the lex-least embedding tuple.
+    `within` is a vertex mask of the host (default: all vertices). The
+    embedding tuple maps pattern vertex i to its host image. The candidates
+    for pattern vertex i are one mask: the free vertices of `within`, ANDed
+    with adj(a_j) or its complement for every placed a_j, as the pattern has
+    or lacks the edge ij. Candidates are tried ascending, so the first hit is
+    the lex-least embedding tuple.
     """
     pat = pat if isinstance(pat, Pattern) else pattern(pat)
     p = pat.graph
-    if p.n > host.n:
-        return None
-    full = host.full_mask
+    free = host.full_mask if within is None else within
     assignment = [0] * p.n
 
     def place(i: int, used: int) -> bool:
-        for v in bits(full & ~used):
-            ok = True
-            for j in range(i):
-                if p.has_edge(i, j) != host.has_edge(v, assignment[j]):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        cand = free & ~used
+        for j in range(i):
+            row = host.adj[assignment[j]]
+            cand &= row if p.adj[i] >> j & 1 else ~row
+        for v in bits(cand):
             assignment[i] = v
             if i + 1 == p.n or place(i + 1, used | (1 << v)):
                 return True

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gemfree import cli, partition
 from gemfree.cli import main
+from gemfree.exact import max_clique
 from gemfree.graph_io import serialize
 from gemfree.generators import groetzsch_graph
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
@@ -60,6 +62,20 @@ def test_color_two_omega(files, capsys):
     assert code == 0 and rep["verified"] is True
     assert rep["num_colors"] == 4 and rep["bound"] == 4
     assert rep["trace"]["case"] == "omega<=2"
+
+
+def test_color_finds_omega_once(files, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return max_clique(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "max_clique", counted)
+    monkeypatch.setattr(partition, "max_clique", counted)
+    code, out = run(capsys, "color", files["groetzsch"])
+    assert code == 0 and json.loads(out)["omega"] == 2
+    assert len(calls) == 1
 
 
 def test_color_exact_c5(files, capsys):

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
+from gemfree import coloring
+from gemfree.cli import main
 from gemfree.coloring import (
     CertificationError,
     ClassViolationError,
@@ -12,6 +16,7 @@ from gemfree.coloring import (
 )
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
+from gemfree.graph_io import serialize
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, join, mask_of
 from gemfree.patterns import (
     NAMED_PATTERNS,
@@ -209,3 +214,20 @@ def test_three_omega_bound_on_corpus(corpus):
 def test_coloring_requires_vertices():
     with pytest.raises(GraphError):
         color_two_omega(build_graph(0, []))
+
+
+@pytest.mark.parametrize("algorithm,colorer,step,stub", [
+    ("two-omega", color_two_omega, "_color_c12", lambda *args: None),
+    ("three-omega", color_three_omega, "_clique_components", lambda *args: []),
+], ids=["two-omega", "three-omega"])
+def test_uncolored_vertex_is_certification_failure(algorithm, colorer, step, stub,
+                                                   monkeypatch, tmp_path, capsys):
+    # a construction step that leaves C_{1,2} at color 0 must end in exit 3
+    monkeypatch.setattr(coloring, step, stub)
+    g = schlafli_complement()
+    with pytest.raises(CertificationError, match="coloring not total"):
+        colorer(g)
+    path = tmp_path / "schlafli.col"
+    path.write_text(serialize(g, "dimacs"))
+    assert main(["color", str(path), "--algorithm", algorithm]) == 3
+    assert json.loads(capsys.readouterr().out)["message"] == "coloring not total"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemfree.exact import (
     SizeGuardError,
@@ -43,8 +44,8 @@ def test_expansion_clique_number(m, omega):
     assert max_clique(g).omega == omega
 
 
-@given(small_graphs(max_n=8))
-def test_max_clique_witness_is_maximal_clique(g):
+@given(small_graphs(max_n=8), st.integers(min_value=0, max_value=255))
+def test_max_clique_witness_is_maximal_clique(g, mask):
     r = max_clique(g)
     assert g.is_clique(r.witness)
     outside = g.full_mask & ~r.witness
@@ -53,6 +54,13 @@ def test_max_clique_witness_is_maximal_clique(g):
     least = next(mask_of(c) for c in itertools.combinations(range(g.n), r.omega)
                  if g.is_clique(mask_of(c)))
     assert r.witness == least
+    # inside a vertex mask: the least clique of maximum size
+    mask &= g.full_mask
+    inside = list(bits(mask))
+    least = next(mask_of(c) for k in range(len(inside), -1, -1)
+                 for c in itertools.combinations(inside, k) if g.is_clique(mask_of(c)))
+    r = max_clique(g, mask)
+    assert (r.omega, r.witness) == (least.bit_count(), least)
 
 
 def test_independence_numbers():

@@ -1,7 +1,9 @@
-"""Static hygiene of the package source: no module imports a name it never uses.
+"""Static hygiene of the package source.
 
-`__init__.py` is exempt because its imports are the package's re-exports.
-Only `ast` is used, so the check imports nothing from the package.
+No module imports a name it never uses; `__init__.py` is exempt because its
+imports are the package's re-exports. No module but `graphs.py` copies an
+induced subgraph: searches run inside vertex masks of the host instead.
+Only `ast` is used, so the checks import nothing from the package.
 """
 
 import ast
@@ -32,3 +34,16 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
+                         ids=lambda p: p.name)
+def test_no_induced_subgraph_copies(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        == "induced_subgraph"
+    ]
+    assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"

@@ -38,9 +38,14 @@ def test_dimacs_rejects_malformed(text):
         parse_dimacs(text)
 
 
-def test_edgelist_header_mismatch():
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1\n",  # fewer edge lines than the header says
+    "3 1\n0\n",  # one endpoint
+    "3 1\n0 1 2\n",  # three numbers
+])
+def test_edgelist_rejects_malformed(text):
     with pytest.raises(GraphError):
-        parse_edgelist("3 2\n0 1\n")
+        parse_edgelist(text)
 
 
 def test_dot_export_mentions_all_edges():

@@ -125,6 +125,20 @@ def test_fact1_reports_violation_outside_class():
         assert entry.witness is not None
 
 
+@pytest.mark.parametrize("edges,check,clause,cell,witness", [
+    ([(0, 6), (0, 8), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (3, 7), (3, 8), (4, 7),
+      (4, 8), (5, 7), (6, 7), (6, 8)], check_fact1, "fact1.i", (1, 2), (1, 3, 4)),
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (1, 6), (1, 8), (2, 4), (2, 5),
+      (2, 7), (3, 5), (3, 6), (3, 7), (5, 8)], check_lemma_gem, "lemma_gem.i", (2, 3),
+     (3, 7, 2, 4)),
+])
+def test_cell_witness_is_host_labelled(edges, check, clause, cell, witness):
+    g = build_graph(9, edges)
+    [entry] = [e for e in check(g, partition_for(g)).entries
+               if e.clause == clause and (e.bindings["i"], e.bindings["j"]) == cell]
+    assert not entry.ok and entry.witness == witness
+
+
 def test_lemma_gem_runs_on_gem_itself():
     from gemfree.patterns import NAMED_PATTERNS
 

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemfree.generators import groetzsch_graph, schlafli_complement
-from gemfree.graphs import build_graph, induced_subgraph, mask_of
+from gemfree.graphs import bits, build_graph, induced_subgraph, mask_of
 from gemfree.patterns import (
     NAMED_PATTERNS,
     PatternError,
@@ -103,11 +104,19 @@ def _brute_contains(host, pat):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(min_n=2, max_n=7))
-def test_find_induced_matches_bruteforce(g):
+@given(small_graphs(min_n=2, max_n=7), st.integers(min_value=0, max_value=127))
+def test_find_induced_matches_bruteforce(g, mask):
     for name in ("p3", "p4", "2k2", "c4", "diamond"):
         pat = NAMED_PATTERNS[name]
         assert (find_induced(g, name) is not None) == _brute_contains(g, pat)
+    # inside a vertex mask: the first embedding in lexicographic order
+    mask &= g.full_mask
+    for name in ("p3", "p4", "p3up2", "gem"):
+        pat = pattern(name)
+        first = next((emb for emb in itertools.permutations(bits(mask), pat.graph.n)
+                      if PatternWitness(name, emb).verify(g, pat)), None)
+        w = find_induced(g, name, mask)
+        assert (w.embedding if w else None) == first
 
 
 @settings(max_examples=30, deadline=None)
