@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         }))
         return EXIT_CERTIFICATION
     except (GraphError, PatternError, SizeGuardError, SamplingError,
-            OSError, json.JSONDecodeError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphs import Coloring, Graph, bits, complement
 
 
@@ -178,6 +176,8 @@ def chi_alpha2_shortcut(g: Graph) -> int:
     """
     if independence_number(g) > 2:
         raise ValueError("shortcut requires independence number <= 2")
+    import networkx as nx  # lazy: the import costs more than the rest of `import gemfree`
+
     co = complement(g)
     h = nx.Graph()
     h.add_nodes_from(range(co.n))

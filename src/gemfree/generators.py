@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, bits, build_graph
+from .graphs import Graph, GraphError, _check_vertex_count, bits, build_graph
 from .patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -35,6 +35,7 @@ class ExpansionSpec:
             raise GraphError("one bag size per base vertex required")
         if any(m < 1 for m in self.sizes):
             raise GraphError("bag sizes must be positive")
+        _check_vertex_count(sum(self.sizes))
 
 
 def expansion_bags(spec: ExpansionSpec) -> list[list[int]]:
@@ -135,7 +136,7 @@ def check_srg(g: Graph) -> tuple[bool, tuple[int, int, int, int] | None]:
     return True, (g.n, k, lam, mu)
 
 
-def named_graph(name: str, param: int | None = None) -> Graph:
+def named_graph(name: str) -> Graph:
     """Canonical construction of a named graph (case-insensitive)."""
     key = name.lower()
     if key in NAMED_PATTERNS:
@@ -144,14 +145,11 @@ def named_graph(name: str, param: int | None = None) -> Graph:
         return groetzsch_graph()
     if key == "schlafli-complement":
         return schlafli_complement()
-    if key.startswith("k") and key[1:].isdigit():
-        return complete_graph(int(key[1:]))
-    if key.startswith("p") and key[1:].isdigit():
-        return path_graph(int(key[1:]))
-    if key.startswith("c") and key[1:].isdigit():
-        return cycle_graph(int(key[1:]))
-    if key == "kn" and param is not None:
-        return complete_graph(param)
+    families = {"k": complete_graph, "p": path_graph, "c": cycle_graph}
+    if key[:1] in families and key[1:].isdigit():
+        n = int(key[1:])
+        _check_vertex_count(n)
+        return families[key[0]](n)
     raise GraphError(f"unknown graph name {name!r}")
 
 
@@ -169,6 +167,7 @@ def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
     """Deterministic sampler of {P3 u P2, gem}-free graphs on n >= 1 vertices."""
     if n < 1:
         raise GraphError(f"sampling requires at least one vertex, got n={n}")
+    _check_vertex_count(n)
     rng = random.Random((strategy, n, seed).__repr__())
     if strategy == "reject":
         if n > 16:

@@ -10,6 +10,13 @@ from .graphs import Graph, GraphError, build_graph
 FORMATS = ("dimacs", "edgelist", "json")
 
 
+def _int(token: str, lineno: int, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphError(f"non-integer {token!r} on line {lineno}: {line!r}") from None
+
+
 def parse_dimacs(text: str, name: str = "") -> Graph:
     """DIMACS .col: `p edge n m` header, `e u v` lines with 1-based endpoints."""
     n = None
@@ -22,13 +29,13 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphError(f"bad DIMACS header on line {lineno}: {line!r}")
-            n = int(parts[2])
+            n = _int(parts[2], lineno, line)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge line before header")
             if len(parts) != 3:
                 raise GraphError(f"DIMACS edge line {lineno} needs two endpoints: {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _int(parts[1], lineno, line), _int(parts[2], lineno, line)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"DIMACS endpoint out of range on line {lineno}")
             edges.append((u - 1, v - 1))
@@ -47,21 +54,23 @@ def to_dimacs(g: Graph) -> str:
 
 def parse_edgelist(text: str, name: str = "") -> Graph:
     """First line `n m`, then m lines `u v`, 0-based."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = [(lineno, ln) for lineno, raw in enumerate(text.splitlines(), 1)
+             if (ln := raw.strip()) and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
+    hline, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
         raise GraphError("edge-list header must be 'n m'")
-    n, m = int(header[0]), int(header[1])
+    n, m = _int(parts[0], hline, header), _int(parts[1], hline, header)
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"edge-list line needs two endpoints: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_int(parts[0], lineno, ln), _int(parts[1], lineno, ln)))
     return build_graph(n, edges, name)
 
 
@@ -72,14 +81,16 @@ def to_edgelist(g: Graph) -> str:
 
 
 def parse_json_graph(text: str, name: str = "") -> Graph:
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         return build_graph(
             int(data["n"]),
             [tuple(e) for e in data["edges"]],
             data.get("name", name),
         )
-    except (KeyError, TypeError) as exc:
+    except GraphError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"bad JSON graph object: {exc}") from exc
 
 

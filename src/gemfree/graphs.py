@@ -33,6 +33,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
 def _components(adj: tuple[int, ...], remaining: int, flip: int) -> list[int]:
     """Components of <remaining> in the graph (flip=0) or its complement (flip=-1)."""
     comps = []
@@ -61,8 +66,7 @@ class Graph:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise GraphError(f"vertex count {self.n} outside supported range 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise GraphError("adjacency row count does not match n")
         full = self.full_mask
@@ -123,6 +127,7 @@ class Graph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
     """Graph from an edge list; duplicates collapse, endpoints validated."""
+    _check_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

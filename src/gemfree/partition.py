@@ -13,10 +13,10 @@ reports; on class members every clause must pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from .exact import max_clique
-from .graphs import Graph, bits, bracket_complete, bracket_empty, mask_of
+from .graphs import Graph, bits, mask_of
 from .patterns import find_induced
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
@@ -139,6 +139,21 @@ class CheckReport:
         }
 
 
+def _entry(clause: str, bindings: dict[str, Any], witness: Iterable[int]) -> CheckEntry:
+    """A clause holds iff its witness (offending vertices or first pair) is empty."""
+    w = tuple(witness)
+    return CheckEntry(clause, bindings, not w, w or None)
+
+
+def _first_pair(g: Graph, s: int, t: int, flip: int) -> tuple[int, ...]:
+    """First (v in S, u in T) with v ~ u (flip=0) or v !~ u (flip=-1), or ()."""
+    for v in bits(s):
+        hit = (g.adj[v] ^ flip) & t
+        if hit:
+            return (v, (hit & -hit).bit_length() - 1)
+    return ()
+
+
 def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     """Cell structure forced by (P3 u P2)-freeness.
 
@@ -148,20 +163,10 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     entries = []
     for (i, j), cell in p.C.items():
         w = find_induced(g, "p3", cell)
-        entries.append(
-            CheckEntry("fact1.i", {"i": i, "j": j}, w is None, w.embedding if w else None)
-        )
+        entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
-            required = [k for k in range(1, j + 1) if k not in (i, j)]
-            bad = [k for k in required if not g.has_edge(a, p.A[k - 1])]
-            entries.append(
-                CheckEntry(
-                    "fact1.ii",
-                    {"i": i, "j": j, "a": a},
-                    not bad,
-                    tuple(bad) if bad else None,
-                )
-            )
+            bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
+            entries.append(_entry("fact1.ii", {"i": i, "j": j, "a": a}, bad))
     return CheckReport("fact1", True, tuple(entries))
 
 
@@ -178,46 +183,26 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
         if j < 3:
             continue
         w = find_induced(g, "p4", cell)
-        entries.append(
-            CheckEntry("lemma_gem.i", {"i": i, "j": j}, w is None, w.embedding if w else None)
-        )
-        comps = g.components(cell)
-        for comp in comps:
+        entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
+        for comp in g.components(cell):
+            cmin = (comp & -comp).bit_length() - 1
             for ell in range(1, omega + 1):
-                vl = p.A[ell - 1]
-                if g.adj[vl] & comp:
-                    ok = bracket_complete(g, comp, 1 << vl)
-                    entries.append(
-                        CheckEntry(
-                            "lemma_gem.ii",
-                            {"i": i, "j": j, "component_min": (comp & -comp).bit_length() - 1, "l": ell},
-                            ok,
-                            None if ok else tuple(v for v in bits(comp) if not g.has_edge(v, vl)),
-                        )
-                    )
+                row = g.adj[p.A[ell - 1]]
+                if row & comp:
+                    entries.append(_entry("lemma_gem.ii", {"i": i, "j": j, "component_min": cmin,
+                                                           "l": ell}, bits(comp & ~row)))
             wc = max_clique(g, comp).omega
             bound = sum(1 for k in range(1, omega + 1) if not g.adj[p.A[k - 1]] & comp)
-            entries.append(
-                CheckEntry(
-                    "lemma_gem.iv",
-                    {"i": i, "j": j, "component_min": (comp & -comp).bit_length() - 1,
-                     "omega_H": wc, "bound": bound},
-                    wc <= bound,
-                )
-            )
+            entries.append(CheckEntry(
+                "lemma_gem.iv",
+                {"i": i, "j": j, "component_min": cmin, "omega_H": wc, "bound": bound},
+                wc <= bound,
+            ))
         for a in bits(cell):
             for ell in range(1, omega + 1):
-                if g.has_edge(a, p.A[ell - 1]):
-                    continue
-                ok = bracket_empty(g, 1 << a, p.I[ell - 1])
-                entries.append(
-                    CheckEntry(
-                        "lemma_gem.iii",
-                        {"i": i, "j": j, "a": a, "l": ell},
-                        ok,
-                        None if ok else tuple(bits(g.adj[a] & p.I[ell - 1])),
-                    )
-                )
+                if not g.has_edge(a, p.A[ell - 1]):
+                    entries.append(_entry("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
+                                          bits(g.adj[a] & p.I[ell - 1])))
     return CheckReport("lemma_gem", True, tuple(entries))
 
 
@@ -240,97 +225,41 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
         cp = p.Cprime[(i, j)]
         # (i) both directions
         for ell in range(1, omega + 1):
-            vl = p.A[ell - 1]
-            if g.adj[vl] & cell:
-                ok = bracket_complete(g, cp, 1 << vl)
-                entries.append(
-                    CheckEntry(
-                        "lemma_class.i",
-                        {"i": i, "j": j, "l": ell},
-                        ok,
-                        None if ok else tuple(v for v in bits(cp) if not g.has_edge(v, vl)),
-                    )
-                )
-            if any(not g.has_edge(b, vl) for b in bits(cp)):
-                ok = bracket_empty(g, cell, 1 << vl)
-                entries.append(
-                    CheckEntry(
-                        "lemma_class.i-consequence",
-                        {"i": i, "j": j, "l": ell},
-                        ok,
-                        None if ok else tuple(bits(g.adj[vl] & cell)),
-                    )
-                )
+            row = g.adj[p.A[ell - 1]]
+            if row & cell:
+                entries.append(_entry("lemma_class.i", {"i": i, "j": j, "l": ell},
+                                      bits(cp & ~row)))
+            if cp & ~row:
+                entries.append(_entry("lemma_class.i-consequence", {"i": i, "j": j, "l": ell},
+                                      bits(row & cell)))
         # (ii)
         wc = max_clique(g, cp).omega
-        entries.append(
-            CheckEntry(
-                "lemma_class.ii",
-                {"i": i, "j": j, "omega_Cprime": wc, "D_size": len(p.D[(i, j)])},
-                wc <= len(p.D[(i, j)]),
-            )
-        )
-        # (iii): [C_{i,j}, C_{i,l}] = [C_{i,j}, C_{j,l}] = empty for l > j >= 3
-        for ell in range(j + 1, omega + 1):
-            for other in ((i, ell), (j, ell)):
-                ocell = p.C.get(other, 0)
-                ok = bracket_empty(g, cell, ocell)
-                entries.append(
-                    CheckEntry(
-                        "lemma_class.iii",
-                        {"cell": (i, j), "other": other},
-                        ok,
-                        None if ok else _first_cross_edge(g, cell, ocell),
-                    )
-                )
-        if j >= 4:
-            for k in range(1, j):
-                if k == i:
-                    continue
-                ocell = p.C.get((k, j), 0)
-                ok = bracket_empty(g, cell, ocell)
-                entries.append(
-                    CheckEntry(
-                        "lemma_class.iii-column",
-                        {"cell": (i, j), "other": (k, j)},
-                        ok,
-                        None if ok else _first_cross_edge(g, cell, ocell),
-                    )
-                )
-        # (iv)
+        entries.append(CheckEntry(
+            "lemma_class.ii",
+            {"i": i, "j": j, "omega_Cprime": wc, "D_size": len(p.D[(i, j)])},
+            wc <= len(p.D[(i, j)]),
+        ))
+        # (iii) and (iv) share the later cells of both rows and, for j >= 4, the column
+        later = [other for ell in range(j + 1, omega + 1) for other in ((i, ell), (j, ell))]
+        column = [(k, j) for k in range(1, j) if k != i] if j >= 4 else []
+        for other in later:
+            entries.append(_entry("lemma_class.iii", {"cell": (i, j), "other": other},
+                                  _first_pair(g, cell, p.C[other], 0)))
+        for other in column:
+            entries.append(_entry("lemma_class.iii-column", {"cell": (i, j), "other": other},
+                                  _first_pair(g, cell, p.C[other], 0)))
         if cp:
-            for ell in range(j + 1, omega + 1):
-                for other in ((i, ell), (j, ell)):
-                    entries.append(
-                        CheckEntry(
-                            "lemma_class.iv",
-                            {"cell": (i, j), "must_be_empty": other},
-                            p.C.get(other, 0) == 0,
-                            tuple(bits(p.C.get(other, 0))) or None,
-                        )
-                    )
-            for ell in range(3, j):
-                if ell > i:
-                    entries.append(
-                        CheckEntry(
-                            "lemma_class.iv",
-                            {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
-                            p.Cprime.get((i, ell), 0) == 0,
-                            tuple(bits(p.Cprime.get((i, ell), 0))) or None,
-                        )
-                    )
-            if j >= 4:
-                for k in range(1, j):
-                    if k == i:
-                        continue
-                    entries.append(
-                        CheckEntry(
-                            "lemma_class.iv-column",
-                            {"cell": (i, j), "must_be_empty": (k, j)},
-                            p.C.get((k, j), 0) == 0,
-                            tuple(bits(p.C.get((k, j), 0))) or None,
-                        )
-                    )
+            for other in later:
+                entries.append(_entry("lemma_class.iv", {"cell": (i, j), "must_be_empty": other},
+                                      bits(p.C[other])))
+            for ell in range(max(3, i + 1), j):
+                entries.append(_entry("lemma_class.iv",
+                                      {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
+                                      bits(p.Cprime[(i, ell)])))
+            for other in column:
+                entries.append(_entry("lemma_class.iv-column",
+                                      {"cell": (i, j), "must_be_empty": other},
+                                      bits(p.C[other])))
     return CheckReport("lemma_class", True, tuple(entries))
 
 
@@ -339,41 +268,17 @@ def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:
     to {v_r, v_s} u C_{r,s}."""
     if p.omega < 3:
         return CheckReport("claim1", False, reason="requires omega >= 3")
-    entries = []
-    omega = p.omega
     left = 0
-    for j in range(3, omega + 1):
-        left |= p.Cprime.get((1, j), 0) | p.Cprime.get((2, j), 0)
+    for j in range(3, p.omega + 1):
+        left |= p.Cprime[(1, j)] | p.Cprime[(2, j)]
+    entries = []
     for (r, s), cell in p.C.items():
         if r < 3 or not cell:
             continue
         target = cell | (1 << p.A[r - 1]) | (1 << p.A[s - 1])
-        ok = bracket_complete(g, left & ~target, target & ~left)
-        entries.append(
-            CheckEntry(
-                "claim1",
-                {"r": r, "s": s},
-                ok,
-                None if ok else _first_missing_cross(g, left & ~target, target & ~left),
-            )
-        )
+        entries.append(_entry("claim1", {"r": r, "s": s},
+                              _first_pair(g, left & ~target, target & ~left, -1)))
     return CheckReport("claim1", True, tuple(entries))
-
-
-def _first_cross_edge(g: Graph, s: int, t: int) -> tuple[int, int] | None:
-    for v in bits(s):
-        hit = g.adj[v] & t
-        if hit:
-            return (v, (hit & -hit).bit_length() - 1)
-    return None
-
-
-def _first_missing_cross(g: Graph, s: int, t: int) -> tuple[int, int] | None:
-    for v in bits(s):
-        missing = t & ~g.adj[v]
-        if missing:
-            return (v, (missing & -missing).bit_length() - 1)
-    return None
 
 
 def run_all_checks(g: Graph, p: WBCPartition) -> dict[str, CheckReport]:

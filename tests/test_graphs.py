@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
+from gemfree.generators import ExpansionSpec, complete_expansion, named_graph, random_class_member
+from gemfree.graph_io import parse
 from gemfree.graphs import (
     Coloring,
     GraphError,
@@ -39,6 +43,30 @@ def test_duplicate_edges_collapse():
 def test_build_rejects_bad_edges(bad):
     with pytest.raises((GraphError, ValueError)):
         build_graph(4, bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_graph(10**7, []),
+    lambda: parse("p edge 10000000 0\n", "dimacs"),
+    lambda: parse("10000000 0\n", "edgelist"),
+    lambda: parse('{"n": 10000000, "edges": []}', "json"),
+    lambda: named_graph("k2000"),
+    lambda: named_graph("p200000"),
+    lambda: named_graph("c200000"),
+    lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (1000, 1, 1, 1, 1))),
+    lambda: random_class_member(1000, 0, "expand"),
+    lambda: random_class_member(1000, 0, "prune"),
+], ids=["build_graph", "dimacs", "edgelist", "json", "k2000", "p200000", "c200000",
+        "expansion", "random-expand", "random-prune"])
+def test_oversized_graph_fails_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="outside supported range"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak} bytes before the vertex count was rejected"
 
 
 def test_complement_k4_is_edgeless():

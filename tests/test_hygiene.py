@@ -3,10 +3,13 @@
 No module imports a name it never uses; `__init__.py` is exempt because its
 imports are the package's re-exports. No module but `graphs.py` copies an
 induced subgraph: searches run inside vertex masks of the host instead.
-Only `ast` is used, so the checks import nothing from the package.
+These checks use only `ast`; the import-cost check imports the package in a
+child interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,11 @@ def test_no_induced_subgraph_copies(path):
         == "induced_subgraph"
     ]
     assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"
+
+
+def test_import_does_not_load_networkx():
+    # networkx is imported where it is used: loading it costs more than the package
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import gemfree; "
+            "print('networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gemfree.graph_io import (
+    FORMATS,
     parse,
     parse_dimacs,
     parse_edgelist,
+    parse_json_graph,
     read_graph,
     serialize,
     to_dot,
 )
-from gemfree.graphs import GraphError
+from gemfree.graphs import Graph, GraphError
 from gemfree.patterns import cycle_graph
 
 from conftest import small_graphs
@@ -31,7 +34,7 @@ def test_dimacs_comments_and_1_based():
 @pytest.mark.parametrize(
     "text",
     ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n",
-     "p edge 3 1\ne 1\n"],
+     "p edge 3 1\ne 1\n", "p edge x 1\n", "p edge 3 1\ne 1 x\n"],
 )
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(GraphError):
@@ -42,10 +45,45 @@ def test_dimacs_rejects_malformed(text):
     "3 2\n0 1\n",  # fewer edge lines than the header says
     "3 1\n0\n",  # one endpoint
     "3 1\n0 1 2\n",  # three numbers
+    "3 1\n0 x\n",  # non-numeric endpoint
+    "x 1\n0 1\n",  # non-numeric header
 ])
 def test_edgelist_rejects_malformed(text):
     with pytest.raises(GraphError):
         parse_edgelist(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": "x", "edges": []}',
+    '{"n": 3, "edges": [[0]]}',
+    '{"n": 1e400, "edges": []}',
+    "not json",
+    "[1, 2]",
+])
+def test_json_rejects_malformed(text):
+    with pytest.raises(GraphError, match="bad JSON graph object"):
+        parse_json_graph(text)
+
+
+def test_non_integer_token_names_line():
+    with pytest.raises(GraphError, match="non-integer 'x' on line 2: '0 x'"):
+        parse_edgelist("3 1\n0 x\n")
+    with pytest.raises(GraphError, match="non-integer 'x' on line 3"):
+        parse_dimacs("c\np edge 3 1\ne 1 x\n")
+
+
+TOKENS = ["p", "e", "edge", "c", "x", "-1", *map(str, range(10)), "600",
+          "{", "}", "[", "]", '"', ",", ":", '"n"', '"edges"']
+
+
+@given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=6), max_size=6))
+def test_parse_returns_graph_or_graph_error(lines):
+    text = "\n".join(" ".join(line) for line in lines)
+    for fmt in FORMATS:
+        try:
+            assert isinstance(parse(text, fmt), Graph)
+        except GraphError:
+            pass
 
 
 def test_dot_export_mentions_all_edges():

@@ -125,17 +125,48 @@ def test_fact1_reports_violation_outside_class():
         assert entry.witness is not None
 
 
-@pytest.mark.parametrize("edges,check,clause,cell,witness", [
+G_ROW = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]
+G_OMEGA = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 5), (2, 6),
+           (3, 4), (4, 6), (5, 6)]
+G_LIVE = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+          (4, 6), (5, 6)]
+
+
+@pytest.mark.parametrize("edges,clause,bindings,witness", [
     ([(0, 6), (0, 8), (1, 3), (1, 5), (2, 5), (2, 6), (3, 4), (3, 7), (3, 8), (4, 7),
-      (4, 8), (5, 7), (6, 7), (6, 8)], check_fact1, "fact1.i", (1, 2), (1, 3, 4)),
+      (4, 8), (5, 7), (6, 7), (6, 8)], "fact1.i", {"i": 1, "j": 2}, (1, 3, 4)),
     ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (1, 6), (1, 8), (2, 4), (2, 5),
-      (2, 7), (3, 5), (3, 6), (3, 7), (5, 8)], check_lemma_gem, "lemma_gem.i", (2, 3),
+      (2, 7), (3, 5), (3, 6), (3, 7), (5, 8)], "lemma_gem.i", {"i": 2, "j": 3},
      (3, 7, 2, 4)),
-])
-def test_cell_witness_is_host_labelled(edges, check, clause, cell, witness):
-    g = build_graph(9, edges)
-    [entry] = [e for e in check(g, partition_for(g)).entries
-               if e.clause == clause and (e.bindings["i"], e.bindings["j"]) == cell]
+    (G_ROW, "lemma_gem.ii", {"i": 2, "j": 3, "component_min": 0, "l": 4}, (5,)),
+    (G_ROW, "lemma_class.i", {"i": 2, "j": 3, "l": 4}, (5,)),
+    (G_ROW, "lemma_class.i-consequence", {"i": 2, "j": 3, "l": 4}, (0,)),
+    ([(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)], "lemma_gem.iii",
+     {"i": 1, "j": 3, "a": 1, "l": 3}, (4,)),
+    (G_OMEGA, "lemma_gem.iv",
+     {"i": 1, "j": 3, "component_min": 2, "omega_H": 3, "bound": 2}, None),
+    (G_OMEGA, "lemma_class.ii", {"i": 1, "j": 3, "omega_Cprime": 3, "D_size": 2}, None),
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (3, 5)],
+     "lemma_class.iii", {"cell": (2, 3), "other": (3, 4)}, (5, 3)),
+    ([(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+      (3, 4)], "lemma_class.iii-column", {"cell": (2, 4), "other": (3, 4)}, (0, 5)),
+    (G_LIVE, "lemma_class.iv", {"cell": (1, 3), "must_be_empty": (3, 4)}, (5,)),
+    (G_LIVE, "claim1", {"r": 3, "s": 4}, (4, 2)),
+    ([(0, 2), (0, 3), (0, 4), (0, 5), (0, 8), (1, 2), (1, 4), (1, 6), (1, 8), (2, 3),
+      (2, 5), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7), (4, 7), (4, 8), (5, 7), (6, 7),
+      (6, 8)], "lemma_class.iv", {"cell": (1, 4), "must_be_Cprime_empty": (1, 3)}, (0, 5)),
+    ([(0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+      (2, 5), (2, 6), (3, 4)], "lemma_class.iv-column",
+     {"cell": (1, 4), "must_be_empty": (2, 4)}, (6,)),
+], ids=["fact1.i", "lemma_gem.i", "lemma_gem.ii", "lemma_class.i", "lemma_class.i-consequence",
+        "lemma_gem.iii", "lemma_gem.iv", "lemma_class.ii", "lemma_class.iii",
+        "lemma_class.iii-column", "lemma_class.iv-row", "claim1", "lemma_class.iv-Cprime",
+        "lemma_class.iv-column"])
+def test_cell_witness_is_host_labelled(edges, clause, bindings, witness):
+    # one failing entry per clause kind, pinned to the vertices it reports
+    g = build_graph(max(max(e) for e in edges) + 1, edges)
+    report = run_all_checks(g, partition_for(g))[clause.split(".")[0]]
+    [entry] = [e for e in report.entries if e.clause == clause and e.bindings == bindings]
     assert not entry.ok and entry.witness == witness
 
 
