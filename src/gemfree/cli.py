@@ -17,7 +17,7 @@ from . import __version__
 from .coloring import (
     CertificationError,
     ClassViolationError,
-    color_three_omega,
+    _three_omega,
     color_two_omega,
     greedy_coloring,
     verify_proper,
@@ -94,18 +94,20 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring, trace = color_two_omega(g)
         trace_dict = trace.to_json_dict()
         verified = trace.verified
+        omega = len(trace.A)
     elif args.algorithm == "three-omega":
-        coloring = color_three_omega(g)
+        coloring, omega = _three_omega(g)
         verified = True
     elif args.algorithm == "greedy":
         coloring = greedy_coloring(g, list(range(g.n)))
         verified = verify_proper(g, coloring)[0]
+        omega = max_clique(g).omega
     elif args.algorithm == "exact":
         coloring = chromatic_number(g, max_n=args.max_n).witness
         verified = verify_proper(g, coloring)[0]
+        omega = max_clique(g).omega
     else:
         raise GraphError(f"unknown algorithm {args.algorithm!r}")
-    omega = len(trace.A) if args.algorithm == "two-omega" else max_clique(g).omega
     rep = _base_report(
         args,
         algorithm=args.algorithm,

@@ -341,6 +341,11 @@ def color_three_omega(g: Graph) -> Coloring:
     Splits V(G) minus C_{1,2} into two P4-free pieces, colors each optimally
     via the cotree, then gives C_{1,2} fresh colors.
     """
+    return _three_omega(g)[0]
+
+
+def _three_omega(g: Graph) -> tuple[Coloring, int]:
+    """`color_three_omega` and the omega its partition found."""
     p = _member_partition(g)
     a, omega = p.A, p.omega
 
@@ -372,4 +377,4 @@ def color_three_omega(g: Graph) -> Coloring:
 
     # colors are contiguous (each piece uses 1..k, C_{1,2} takes the next
     # ones), so the bound reads the same before and after normalizing
-    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2", None).normalize()
+    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2", None).normalize(), omega

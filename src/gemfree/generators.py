@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _check_vertex_count, bits, build_graph
+from .graphs import MAX_VERTICES, Graph, GraphError, _check_vertex_count, bits, build_graph
 from .patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -194,7 +194,10 @@ def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
                 big = schlafli_complement()
             else:
                 base = rng.choice([cycle_graph(5), cycle_graph(4)])
-                sizes = _random_composition(n + rng.randint(1, 5), base.n, rng)
+                # capped after the draw: members with n + 5 <= MAX_VERTICES
+                # are the ones the uncapped sampler drew
+                total = min(n + rng.randint(1, 5), MAX_VERTICES)
+                sizes = _random_composition(total, base.n, rng)
                 big = complete_expansion(ExpansionSpec(base, tuple(sizes)))
             keep = sorted(rng.sample(range(big.n), n))
             idx = {v: i for i, v in enumerate(keep)}

@@ -18,8 +18,8 @@ def _int(token: str, lineno: int, line: str) -> int:
 
 
 def parse_dimacs(text: str, name: str = "") -> Graph:
-    """DIMACS .col: `p edge n m` header, `e u v` lines with 1-based endpoints."""
-    n = None
+    """DIMACS .col: `p edge n m` header, then m `e u v` lines with 1-based endpoints."""
+    n = m = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -29,7 +29,7 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphError(f"bad DIMACS header on line {lineno}: {line!r}")
-            n = _int(parts[2], lineno, line)
+            n, m = _int(parts[2], lineno, line), _int(parts[3], lineno, line)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge line before header")
@@ -43,6 +43,8 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
             raise GraphError(f"unrecognized DIMACS line {lineno}: {line!r}")
     if n is None:
         raise GraphError("missing DIMACS header")
+    if len(edges) != m:
+        raise GraphError(f"expected {m} edge lines, found {len(edges)}")
     return build_graph(n, edges, name)
 
 

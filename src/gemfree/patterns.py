@@ -2,6 +2,8 @@
 
 Patterns are small (<= 8 vertices); detection is exact backtracking with
 bitmask candidate pruning, deterministic by ascending host-vertex order.
+Class membership decides the gem and P3 u P2 from cotrees and components
+instead, and backtracks only to name the witness of a non-member.
 """
 
 from __future__ import annotations
@@ -137,22 +139,68 @@ def find_induced(
 def is_class_member(
     host: Graph, forbidden: tuple[str | Pattern | Graph, ...] = DEFAULT_CLASS
 ) -> tuple[bool, PatternWitness | None]:
-    """F-freeness for a family of forbidden patterns; first witness on failure."""
+    """F-freeness for a family of forbidden patterns; first witness on failure.
+
+    Patterns are tried in family order. The catalogue gem and P3 u P2 are
+    decided structurally, and `find_induced` runs only to name their witness:
+
+    - the gem is K1 joined to P4, with the apex as pattern vertex 0, so the
+      host has a gem iff some N(v) has a P4, and the lex-least gem is the
+      least such v followed by the lex-least P4 inside N(v);
+    - the host has a P3 u P2 iff some edge uv leaves a P3 in V - (N[u] u N[v]).
+    """
     for f in forbidden:
-        w = find_induced(host, f)
+        pat = f if isinstance(f, Pattern) else pattern(f)
+        if pat.graph.adj == NAMED_PATTERNS["gem"].adj:
+            w = _gem_witness(host, pat.name)
+        elif pat.graph.adj == NAMED_PATTERNS["p3up2"].adj and not _has_p3up2(host):
+            w = None
+        else:
+            w = find_induced(host, pat)
         if w is not None:
             return False, w
     return True, None
 
 
-def is_p3_free(g: Graph) -> bool:
-    """P3-free iff every connected component is a clique."""
-    return all(g.is_clique(comp) for comp in g.components())
+def _gem_witness(host: Graph, name: str) -> PatternWitness | None:
+    for v, row in enumerate(host.adj):
+        if not is_p4_free(host, row):
+            return PatternWitness(name, (v,) + find_induced(host, "p4", row).embedding)
+    return None
 
 
-def is_p4_free(g: Graph) -> bool:
-    """P4-free iff the cotree walk finds no prime node (see `cograph_coloring`)."""
-    return cograph_coloring(g, g.full_mask) is not None
+def _has_p3up2(host: Graph) -> bool:
+    full = host.full_mask
+    for u, row in enumerate(host.adj):
+        outside_u = full & ~(row | 1 << u)
+        for v in bits(row >> (u + 1) << (u + 1)):
+            if not is_p3_free(host, outside_u & ~(host.adj[v] | 1 << v)):
+                return True
+    return False
+
+
+def is_p3_free(g: Graph, within: int | None = None) -> bool:
+    """True iff <within> (default: all of g) has no induced P3.
+
+    That holds iff every component is a clique, i.e. the closed neighbourhood
+    of each vertex inside `within` is its whole component and is shared by
+    every vertex of it.
+    """
+    mask = g.full_mask if within is None else within
+    rest = mask
+    while rest:
+        low = rest & -rest
+        comp = (g.adj[low.bit_length() - 1] & mask) | low
+        if any((g.adj[x] & mask) | 1 << x != comp for x in bits(comp)):
+            return False
+        rest &= ~comp
+    return True
+
+
+def is_p4_free(g: Graph, within: int | None = None) -> bool:
+    """True iff <within> (default: all of g) has no induced P4: its cotree walk
+    finds no prime node (see `cograph_coloring`)."""
+    return cograph_coloring(g, g.full_mask if within is None else within) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -64,7 +64,8 @@ def test_color_two_omega(files, capsys):
     assert rep["trace"]["case"] == "omega<=2"
 
 
-def test_color_finds_omega_once(files, capsys, monkeypatch):
+@pytest.mark.parametrize("algorithm", ["two-omega", "three-omega"])
+def test_color_finds_omega_once(files, capsys, monkeypatch, algorithm):
     calls = []
 
     def counted(*args, **kwargs):
@@ -73,7 +74,7 @@ def test_color_finds_omega_once(files, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "max_clique", counted)
     monkeypatch.setattr(partition, "max_clique", counted)
-    code, out = run(capsys, "color", files["groetzsch"])
+    code, out = run(capsys, "color", files["groetzsch"], "--algorithm", algorithm)
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gemfree.generators
 from gemfree.exact import chromatic_number, independence_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
@@ -16,7 +17,7 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
-from gemfree.graphs import GraphError, bracket_complete, bracket_empty, mask_of
+from gemfree.graphs import MAX_VERTICES, GraphError, bracket_complete, bracket_empty, mask_of
 from gemfree.patterns import (
     complete_graph,
     cycle_graph,
@@ -112,6 +113,25 @@ def test_random_member_deterministic():
 def test_random_member_strategies(strategy):
     g = random_class_member(9, 3, strategy)
     assert g.n == 9 and is_class_member(g)[0]
+
+
+class _Expanded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,seed", [(510, 0), (512, 1)])
+def test_prune_expansion_stays_within_vertex_limit(n, seed, monkeypatch):
+    # stop at the expansion: a membership check at n = 510 is too slow for tier-1
+    totals = []
+
+    def spy(spec):
+        totals.append(sum(spec.sizes))
+        raise _Expanded
+
+    monkeypatch.setattr(gemfree.generators, "complete_expansion", spy)
+    with pytest.raises(_Expanded):
+        random_class_member(n, seed, "prune")
+    assert n <= totals[0] <= MAX_VERTICES
 
 
 def test_reject_guardrail():

@@ -34,7 +34,9 @@ def test_dimacs_comments_and_1_based():
 @pytest.mark.parametrize(
     "text",
     ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n",
-     "p edge 3 1\ne 1\n", "p edge x 1\n", "p edge 3 1\ne 1 x\n"],
+     "p edge 3 1\ne 1\n", "p edge x 1\n", "p edge 3 1\ne 1 x\n",
+     "p edge 3 x\ne 1 2\n",  # non-numeric edge count
+     "p edge 3 99\ne 1 2\n"],  # fewer edge lines than the header says
 )
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(GraphError):

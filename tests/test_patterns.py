@@ -1,12 +1,20 @@
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfree.generators import groetzsch_graph, schlafli_complement
+import gemfree.patterns
+from gemfree.generators import (
+    ExpansionSpec,
+    complete_expansion,
+    groetzsch_graph,
+    schlafli_complement,
+)
 from gemfree.graphs import bits, build_graph, induced_subgraph, mask_of
 from gemfree.patterns import (
+    DEFAULT_CLASS,
     NAMED_PATTERNS,
     PatternError,
     PatternWitness,
@@ -92,6 +100,11 @@ def test_p3_free_fast_path():
     assert not is_p3_free(cycle_graph(4))
     assert is_p4_free(cycle_graph(4))
     assert not is_p4_free(path_graph(4))
+    # inside a vertex mask
+    assert is_p3_free(path_graph(3), 0b101)
+    assert not is_p3_free(path_graph(4), 0b1110)
+    assert not is_p4_free(path_graph(5), 0b11110)
+    assert is_p4_free(path_graph(5), 0b10111)
 
 
 def _brute_contains(host, pat):
@@ -133,3 +146,82 @@ def test_mixed_k1_c4_and_hvn_detection():
     host = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
     assert find_induced(host, "k1+c4") is not None
     assert find_induced(host, "hvn") is None
+
+
+# ---- structural membership against the pattern search ------------------------
+
+FAMILIES = {
+    "default": DEFAULT_CLASS,
+    "gem": ("gem",),
+    "p3up2": ("p3up2",),
+    "gem,p3up2": ("gem", "p3up2"),
+    "gem-graph": (NAMED_PATTERNS["gem"],),
+}
+
+
+def _searched_membership(host, forbidden):
+    """`is_class_member` as a plain search: `find_induced` per pattern, in order."""
+    for f in forbidden:
+        w = find_induced(host, f)
+        if w is not None:
+            return False, w
+    return True, None
+
+
+@st.composite
+def near_expansions(draw, max_n=10):
+    """C5 or C4 expansions with up to three pairs flipped, relabelled: mostly
+    members, and non-members close to the class."""
+    base = cycle_graph(draw(st.sampled_from([4, 5])))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n)
+                 .filter(lambda s: sum(s) <= max_n))
+    g = complete_expansion(ExpansionSpec(base, tuple(sizes)))
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    edges = set(g.edges()) ^ set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    perm = draw(st.permutations(range(g.n)))
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(max_n=10), near_expansions()))
+def test_membership_matches_pattern_search(g):
+    for forbidden in FAMILIES.values():
+        assert is_class_member(g, forbidden) == _searched_membership(g, forbidden)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=list(FAMILIES))
+def test_membership_matches_pattern_search_on_atlas(family):
+    forbidden = FAMILIES[family]
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for h in atlas:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        assert is_class_member(g, forbidden) == _searched_membership(g, forbidden), list(h.edges())
+
+
+def _gem_only_c5_expansion():
+    """K[C5](2,2,2,2,2) (bag i = {2i, 2i+1}) where 8 of bag 4 also sees 2 of
+    bag 1 and 4 of bag 2: the apex of a gem over 0-2-4-6, and no P3 u P2."""
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (2, 2, 2, 2, 2)))
+    return build_graph(g.n, g.edges() + [(8, 2), (8, 4)])
+
+
+@pytest.mark.parametrize("make,calls", [
+    (groetzsch_graph, []),
+    (schlafli_complement, []),
+    (lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (8,) * 5)), []),
+    (_gem_only_c5_expansion, ["p4"]),
+], ids=["groetzsch", "schlafli-complement", "K[C5](8)", "gem-only"])
+def test_membership_searches_only_to_name_a_witness(make, calls, monkeypatch):
+    g = make()
+    expected = _searched_membership(g, DEFAULT_CLASS)
+    assert expected[0] == (not calls)
+    seen = []
+
+    def counted(host, pat, within=None):
+        seen.append(pat)
+        return find_induced(host, pat, within)
+
+    monkeypatch.setattr(gemfree.patterns, "find_induced", counted)
+    assert is_class_member(g) == expected
+    assert seen == calls
