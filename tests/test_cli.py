@@ -64,8 +64,7 @@ def test_color_two_omega(files, capsys):
     assert rep["trace"]["case"] == "omega<=2"
 
 
-@pytest.mark.parametrize("algorithm", ["two-omega", "three-omega"])
-def test_color_finds_omega_once(files, capsys, monkeypatch, algorithm):
+def _count_max_clique(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -74,6 +73,19 @@ def test_color_finds_omega_once(files, capsys, monkeypatch, algorithm):
 
     monkeypatch.setattr(cli, "max_clique", counted)
     monkeypatch.setattr(partition, "max_clique", counted)
+    return calls
+
+
+def test_color_finds_omega_once(files, capsys, monkeypatch):
+    calls = _count_max_clique(monkeypatch)
+    code, out = run(capsys, "color", files["groetzsch"])
+    assert code == 0 and json.loads(out)["omega"] == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["two-omega", "three-omega"])
+def test_color_algorithm_finds_omega_once(files, capsys, monkeypatch, algorithm):
+    calls = _count_max_clique(monkeypatch)
     code, out = run(capsys, "color", files["groetzsch"], "--algorithm", algorithm)
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
