@@ -19,7 +19,6 @@ def main() -> None:
     args = ap.parse_args()
 
     counts: Counter[str] = Counter()
-    colors_by_case: Counter[str] = Counter()
     for g in class_corpus(count=args.count, seed=args.seed):
         _, trace = color_two_omega(g)
         counts[trace.case] += 1

@@ -27,6 +27,8 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphError(f"repeated DIMACS header on line {lineno}: {line!r}")
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphError(f"bad DIMACS header on line {lineno}: {line!r}")
             n, m = _int(parts[2], lineno, line), _int(parts[3], lineno, line)
@@ -82,18 +84,32 @@ def to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(value: object, field: str) -> int:
+    if type(value) is not int:  # rejects bool, a subclass of int, and floats
+        raise GraphError(f"bad JSON graph object: {field} must be an integer, got {value!r}")
+    return value
+
+
 def parse_json_graph(text: str, name: str = "") -> Graph:
+    """JSON object `{"n": int, "edges": [[u, v], ...], "name": str}`, 0-based; name optional."""
     try:
         data = json.loads(text)
-        return build_graph(
-            int(data["n"]),
-            [tuple(e) for e in data["edges"]],
-            data.get("name", name),
-        )
-    except GraphError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise GraphError(f"bad JSON graph object: {exc}") from exc
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        raise GraphError("bad JSON graph object: expected an object with keys 'n' and 'edges'")
+    n = _json_int(data["n"], "n")
+    if not isinstance(data["edges"], list):
+        raise GraphError("bad JSON graph object: edges must be a list")
+    edges = []
+    for i, e in enumerate(data["edges"]):
+        if not isinstance(e, list) or len(e) != 2:
+            raise GraphError(f"bad JSON graph object: edges[{i}] must be a pair [u, v], got {e!r}")
+        edges.append((_json_int(e[0], f"edges[{i}][0]"), _json_int(e[1], f"edges[{i}][1]")))
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise GraphError(f"bad JSON graph object: name must be a string, got {name!r}")
+    return build_graph(n, edges, name)
 
 
 def to_json_graph(g: Graph) -> str:

@@ -3,7 +3,8 @@
 Patterns are small (<= 8 vertices); detection is exact backtracking with
 bitmask candidate pruning, deterministic by ascending host-vertex order.
 Class membership decides the gem and P3 u P2 from cotrees and components
-instead, and backtracks only to name the witness of a non-member.
+of the true-twin quotient instead, and backtracks only to name the witness
+of a non-member.
 """
 
 from __future__ import annotations
@@ -142,19 +143,36 @@ def is_class_member(
     """F-freeness for a family of forbidden patterns; first witness on failure.
 
     Patterns are tried in family order. The catalogue gem and P3 u P2 are
-    decided structurally, and `find_induced` runs only to name their witness:
+    decided structurally on the true-twin quotient (one representative, the
+    least vertex, per class of vertices with equal closed neighbourhoods), and
+    `find_induced` runs only to name their witness:
 
-    - the gem is K1 joined to P4, with the apex as pattern vertex 0, so the
-      host has a gem iff some N(v) has a P4, and the lex-least gem is the
-      least such v followed by the lex-least P4 inside N(v);
-    - the host has a P3 u P2 iff some edge uv leaves a P3 in V - (N[u] u N[v]).
+    - the gem is K1 joined to P4, with the apex as pattern vertex 0, and has
+      no true twins, so the host has a gem iff some representative v has a
+      P4 among the representatives in N(v); the lex-least gem is the least
+      such v followed by the lex-least P4 there, both the same as in the
+      whole host;
+    - only the P2 of a P3 u P2 is a pair of true twins, so the host has one
+      iff some edge uv of representatives leaves a P3 among the
+      representatives outside N[u] u N[v], or some representative u with a
+      twin leaves one outside N[u]. Trading a vertex for a smaller twin
+      keeps a P3 u P2 and lowers the tuple unless it is the P2's twin, so
+      the lex-least one lies among the representatives and the second least
+      vertex of each class.
     """
+    twins = None
     for f in forbidden:
         pat = f if isinstance(f, Pattern) else pattern(f)
-        if pat.graph.adj == NAMED_PATTERNS["gem"].adj:
-            w = _gem_witness(host, pat.name)
-        elif pat.graph.adj == NAMED_PATTERNS["p3up2"].adj and not _has_p3up2(host):
-            w = None
+        is_gem = pat.graph.adj == NAMED_PATTERNS["gem"].adj
+        if is_gem or pat.graph.adj == NAMED_PATTERNS["p3up2"].adj:
+            twins = twins or _true_twins(host)
+            reps, multi, seconds = twins
+            if is_gem:
+                w = _gem_witness(host, reps, pat.name)
+            elif _has_p3up2(host, reps, multi):
+                w = find_induced(host, pat, reps | seconds)
+            else:
+                w = None
         else:
             w = find_induced(host, pat)
         if w is not None:
@@ -162,19 +180,51 @@ def is_class_member(
     return True, None
 
 
-def _gem_witness(host: Graph, name: str) -> PatternWitness | None:
+def _true_twins(host: Graph) -> tuple[int, int, int]:
+    """(reps, multi, seconds): the least vertex of each true-twin class, the
+    representatives whose class has two or more vertices, and the second
+    least vertex of each such class."""
+    first: dict[int, int] = {}
+    reps = multi = seconds = 0
     for v, row in enumerate(host.adj):
+        r = first.setdefault(row | 1 << v, v)
+        if r == v:
+            reps |= 1 << v
+        elif not multi >> r & 1:
+            multi |= 1 << r
+            seconds |= 1 << v
+    return reps, multi, seconds
+
+
+def _gem_witness(host: Graph, reps: int, name: str) -> PatternWitness | None:
+    """The lex-least gem: the least v with a P4 in N(v), then the lex-least
+    such P4. Both lie among the representatives: a P4 in N(v) has no twin of
+    v (it would see the other three) nor two twins of each other, twins have
+    isomorphic N(v), and trading a vertex for its representative keeps a P4
+    and lowers the tuple."""
+    for v in bits(reps):
+        row = host.adj[v] & reps
         if not is_p4_free(host, row):
             return PatternWitness(name, (v,) + find_induced(host, "p4", row).embedding)
     return None
 
 
-def _has_p3up2(host: Graph) -> bool:
-    full = host.full_mask
-    for u, row in enumerate(host.adj):
-        outside_u = full & ~(row | 1 << u)
-        for v in bits(row >> (u + 1) << (u + 1)):
-            if not is_p3_free(host, outside_u & ~(host.adj[v] | 1 << v)):
+def _has_p3up2(host: Graph, reps: int, multi: int) -> bool:
+    """P3 u P2 test on the quotient with representatives `reps`; `multi` are
+    those with a twin. The host has a P3 u P2 iff some edge uv inside `reps`
+    leaves a P3 in reps - (N[u] u N[v]), or some u in `multi` (whose twin
+    makes uu' a P2) leaves one in reps - N[u]. That last set contains what
+    every edge at u leaves, and P3-freeness is hereditary, so only edges
+    between twinless representatives are tried."""
+    single = reps & ~multi
+    for u in bits(reps):
+        outside_u = reps & ~(host.adj[u] | 1 << u)
+        if multi >> u & 1:
+            if not is_p3_free(host, outside_u):
+                return True
+            continue
+        for v in bits((host.adj[u] & single) >> (u + 1) << (u + 1)):
+            if not is_p3_free(host, outside_u & ~host.adj[v]):
                 return True
     return False
 

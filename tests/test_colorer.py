@@ -124,6 +124,14 @@ def test_two_omega_expansion_bound():
     assert chromatic_number(g).chi == 5
 
 
+def test_two_omega_at_the_vertex_limit():
+    """K[C5](102), n=510, near the 512-vertex limit: certified within 2*omega."""
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
+    col, trace = color_two_omega(g)
+    omega = 2 * 102  # two adjacent bags
+    assert trace.verified and col.num_colors <= 2 * omega
+
+
 def test_two_omega_rejects_non_member():
     with pytest.raises(ClassViolationError) as exc:
         color_two_omega(NAMED_PATTERNS["gem"])

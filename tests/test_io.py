@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gemfree.cli import main
 from gemfree.graph_io import (
     FORMATS,
     parse,
@@ -36,11 +37,17 @@ def test_dimacs_comments_and_1_based():
     ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n",
      "p edge 3 1\ne 1\n", "p edge x 1\n", "p edge 3 1\ne 1 x\n",
      "p edge 3 x\ne 1 2\n",  # non-numeric edge count
-     "p edge 3 99\ne 1 2\n"],  # fewer edge lines than the header says
+     "p edge 3 99\ne 1 2\n",  # fewer edge lines than the header says
+     "p edge 5 1\ne 4 5\np edge 6 1\n"],  # a second header
 )
 def test_dimacs_rejects_malformed(text):
     with pytest.raises(GraphError):
         parse_dimacs(text)
+
+
+def test_dimacs_repeated_header_names_line():
+    with pytest.raises(GraphError, match="repeated DIMACS header on line 3"):
+        parse_dimacs("p edge 5 1\ne 4 5\np edge 6 1\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -55,16 +62,44 @@ def test_edgelist_rejects_malformed(text):
         parse_edgelist(text)
 
 
-@pytest.mark.parametrize("text", [
-    '{"n": "x", "edges": []}',
-    '{"n": 3, "edges": [[0]]}',
-    '{"n": 1e400, "edges": []}',
-    "not json",
-    "[1, 2]",
-])
-def test_json_rejects_malformed(text):
-    with pytest.raises(GraphError, match="bad JSON graph object"):
+# malformed JSON input -> the start of the error text after the common prefix
+JSON_MALFORMED = {
+    '{"n": "x", "edges": []}': "n",
+    '{"n": 3, "edges": [[0]]}': "edges",
+    '{"n": 1e400, "edges": []}': "n",
+    "not json": "",
+    "[1, 2]": "expected an object",
+    '{"n": 2.7, "edges": [[0, 1]]}': "n",  # was truncated to 2
+    '{"n": true, "edges": []}': "n",  # was read as 1
+    '{"n": 3, "edges": [[0, 1.0]]}': r"edges\[0\]\[1\]",
+    '{"n": 3, "edges": [[0, 1], [false, 2]]}': r"edges\[1\]\[0\]",
+    '{"n": 3, "edges": [[0, 1, 2]]}': r"edges\[0\]",
+    '{"n": 3, "edges": "01"}': "edges",
+    '{"n": 2, "edges": [], "name": 5}': "name",  # was an int name
+}
+
+
+@pytest.mark.parametrize("text", list(JSON_MALFORMED))
+def test_json_rejects_malformed(text, tmp_path, capsys):
+    with pytest.raises(GraphError, match="bad JSON graph object: " + JSON_MALFORMED[text]):
         parse_json_graph(text)
+    p = tmp_path / "g.json"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    assert "bad JSON graph object" in capsys.readouterr().err
+
+
+def test_json_rejects_deep_nesting(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    with pytest.raises(GraphError, match="bad JSON graph object"):
+        parse_json_graph(p.read_text())
+    assert main(["check", str(p)]) == 2
+
+
+def test_json_name_defaults_to_argument():
+    assert parse_json_graph('{"n": 2, "edges": [[0, 1]]}', "fallback").name == "fallback"
+    assert parse_json_graph('{"n": 2, "edges": [], "name": "g"}', "fallback").name == "g"
 
 
 def test_non_integer_token_names_line():

@@ -12,7 +12,7 @@ from gemfree.generators import (
     groetzsch_graph,
     schlafli_complement,
 )
-from gemfree.graphs import bits, build_graph, induced_subgraph, mask_of
+from gemfree.graphs import bits, build_graph, induced_subgraph, join, mask_of
 from gemfree.patterns import (
     DEFAULT_CLASS,
     NAMED_PATTERNS,
@@ -169,22 +169,44 @@ def _searched_membership(host, forbidden):
 
 
 @st.composite
-def near_expansions(draw, max_n=10):
-    """C5 or C4 expansions with up to three pairs flipped, relabelled: mostly
-    members, and non-members close to the class."""
-    base = cycle_graph(draw(st.sampled_from([4, 5])))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=base.n, max_size=base.n)
-                 .filter(lambda s: sum(s) <= max_n))
-    g = complete_expansion(ExpansionSpec(base, tuple(sizes)))
+def expansions(draw, bases, max_bag, max_flips, max_n=None):
+    """Complete expansions of a drawn base graph (each vertex a clique of
+    1..max_bag true twins) with up to `max_flips` pairs flipped, relabelled."""
+    base = draw(bases)
+    sizes = st.lists(st.integers(1, max_bag), min_size=base.n, max_size=base.n)
+    if max_n is not None:
+        sizes = sizes.filter(lambda s: sum(s) <= max_n)
+    g = complete_expansion(ExpansionSpec(base, tuple(draw(sizes))))
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    edges = set(g.edges()) ^ set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    flips = draw(st.lists(st.sampled_from(pairs), max_size=max_flips)) if pairs else []
+    edges = set(g.edges()) ^ set(flips)
     perm = draw(st.permutations(range(g.n)))
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in edges])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_graphs(max_n=10), near_expansions()))
+# C5 or C4 expansions with up to three pairs flipped: mostly members, and
+# non-members close to the class
+near_expansions = expansions(st.sampled_from([cycle_graph(4), cycle_graph(5)]),
+                             max_bag=3, max_flips=3, max_n=10)
+# any graph on <= 5 vertices blown up into twin classes, at most one pair
+# flipped: patterns that use twins, or that a flip splits off a twin class
+twin_blowups = expansions(small_graphs(max_n=5), max_bag=3, max_flips=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(max_n=10), near_expansions, twin_blowups))
 def test_membership_matches_pattern_search(g):
+    for forbidden in FAMILIES.values():
+        assert is_class_member(g, forbidden) == _searched_membership(g, forbidden)
+
+
+@pytest.mark.parametrize("g,family", [
+    # the P2 lies inside the K3, one twin class of size 3
+    (disjoint_union(path_graph(3), complete_graph(3)), "p3up2"),
+    (join(complete_graph(2), path_graph(4)), "gem"),  # the apex blown up to a K2
+], ids=["p3+k3", "gem-apex-k2"])
+def test_membership_through_a_twin_class(g, family):
+    assert not is_class_member(g, (family,))[0]
     for forbidden in FAMILIES.values():
         assert is_class_member(g, forbidden) == _searched_membership(g, forbidden)
 
@@ -225,3 +247,34 @@ def test_membership_searches_only_to_name_a_witness(make, calls, monkeypatch):
     monkeypatch.setattr(gemfree.patterns, "find_induced", counted)
     assert is_class_member(g) == expected
     assert seen == calls
+
+
+def test_membership_runs_on_the_twin_quotient(monkeypatch):
+    """K[C5](102), n=510: five twin classes, so a handful of kernel calls."""
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
+    calls = {"find_induced": 0, "is_p3_free": 0, "is_p4_free": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(gemfree.patterns, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(gemfree.patterns, name, counted)
+    assert is_class_member(g) == (True, None)
+    assert calls["find_induced"] == 0
+    assert calls["is_p3_free"] <= 10 and calls["is_p4_free"] <= 5
+
+
+def test_witness_search_runs_on_the_twin_quotient(monkeypatch):
+    """K[C5](102) less the edge 410-433 inside one bag: seven twin classes,
+    and the lex-least P3 u P2 is searched among at most two vertices of each."""
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
+    g = build_graph(g.n, [e for e in g.edges() if e != (410, 433)])
+    masks = []
+
+    def counted(host, pat, within=None):
+        masks.append(within)
+        return find_induced(host, pat, within)
+
+    monkeypatch.setattr(gemfree.patterns, "find_induced", counted)
+    ok, w = is_class_member(g)
+    assert not ok and w.verify(g, pattern("p3up2"))
+    assert len(masks) == 1 and masks[0].bit_count() <= 2 * 7
