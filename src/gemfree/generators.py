@@ -197,6 +197,8 @@ def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
                 # capped after the draw: members with n + 5 <= MAX_VERTICES
                 # are the ones the uncapped sampler drew
                 total = min(n + rng.randint(1, 5), MAX_VERTICES)
+                if total < base.n:
+                    continue  # too few vertices for one per bag
                 sizes = _random_composition(total, base.n, rng)
                 big = complete_expansion(ExpansionSpec(base, tuple(sizes)))
             keep = sorted(rng.sample(range(big.n), n))

@@ -5,14 +5,23 @@ I_k (misses exactly v_k) or in C_{i,j} for the lex-least pair (i,j) of missed
 clique positions. C'_{i,j} drops the vertices isolated inside their cell;
 D_{i,j} collects the clique positions with no neighbor in C'_{i,j}.
 
+Class members fill few of the C(w,2) cells, so only the non-empty cells are
+computed: each outside vertex is classified once from the mask of clique
+vertices it misses, and C' and D are built per non-empty cell. An empty cell
+has C = C' = 0 and D = every position. The dense `C`/`Cprime`/`D` dicts still
+hold every lex pair.
+
 The checkers turn the structural statements that hold for (P3 u P2)-free /
 gem-free / class-member graphs into executable predicates with machine-readable
-reports; on class members every clause must pass.
+reports; on class members every clause must pass. They check the non-empty
+cells only: the clauses an empty cell makes vacuously true are counted in
+`CheckReport.vacuous`, and so in `num_entries`, without being built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable
 
 from .exact import max_clique
@@ -62,6 +71,9 @@ class WBCPartition:
 def build_partition(g: Graph, a: list[int] | tuple[int, ...]) -> WBCPartition:
     """The unique partition determined by G and the ordered maximum clique A."""
     a = tuple(a)
+    for v in a:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+            raise PartitionError(f"A entry {v!r} is not a vertex of G (0..{g.n - 1})")
     if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
         raise PartitionError("A is not a clique")
     if len(a) != max_clique(g).omega:
@@ -78,24 +90,24 @@ def _partition(g: Graph, a: tuple[int, ...]) -> WBCPartition:
     """Partition relative to A, which the caller guarantees is a maximum clique."""
     amask = mask_of(a)
     omega = len(a)
+    position = {v: k for k, v in enumerate(a, 1)}
     i_sets = [0] * omega
-    c_sets = {pair: 0 for pair in lex_pairs(omega)}
-    for v in range(g.n):
-        if amask >> v & 1:
-            continue
-        missed = [k for k in range(1, omega + 1) if not g.has_edge(v, a[k - 1])]
-        if len(missed) == 1:
-            i_sets[missed[0] - 1] |= 1 << v
+    cells: dict[LexPair, int] = {}
+    for v in bits(g.full_mask & ~amask):
+        missed = amask & ~g.adj[v]  # nonempty, as A is a maximum clique
+        if not missed & (missed - 1):
+            i_sets[position[missed.bit_length() - 1] - 1] |= 1 << v
         else:
-            c_sets[(missed[0], missed[1])] |= 1 << v
-    cprime = {}
-    d_sets = {}
-    for pair, cell in c_sets.items():
-        iso = 0
-        for v in bits(cell):
-            if not g.adj[v] & cell:
-                iso |= 1 << v
-        cp = cell & ~iso
+            # A may come in any order: the least positions need not be the lowest bits
+            i, j = islice((k for k, u in enumerate(a, 1) if missed >> u & 1), 2)
+            cells[(i, j)] = cells.get((i, j), 0) | 1 << v
+    pairs = lex_pairs(omega)
+    c_sets = dict.fromkeys(pairs, 0)
+    cprime = dict.fromkeys(pairs, 0)
+    d_sets = dict.fromkeys(pairs, frozenset(range(1, omega + 1)))
+    for pair, cell in cells.items():
+        cp = cell & ~mask_of(v for v in bits(cell) if not g.adj[v] & cell)
+        c_sets[pair] = cell
         cprime[pair] = cp
         d_sets[pair] = frozenset(
             k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp
@@ -117,6 +129,7 @@ class CheckReport:
     applicable: bool
     entries: tuple[CheckEntry, ...] = ()
     reason: str = ""
+    vacuous: int = 0  # clauses vacuously true on empty cells: counted, not built
 
     @property
     def passed(self) -> bool:
@@ -135,7 +148,7 @@ class CheckReport:
                 {"clause": e.clause, "bindings": e.bindings, "witness": e.witness}
                 for e in self.failures()
             ],
-            "num_entries": len(self.entries),
+            "num_entries": len(self.entries) + self.vacuous,
         }
 
 
@@ -161,13 +174,17 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     (ii) a in C_{i,j} is adjacent to v_1..v_j except v_i, v_j.
     """
     entries = []
+    vacuous = 0
     for (i, j), cell in p.C.items():
+        if not cell:
+            vacuous += 1  # fact1.i
+            continue
         w = find_induced(g, "p3", cell)
         entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
             entries.append(_entry("fact1.ii", {"i": i, "j": j, "a": a}, bad))
-    return CheckReport("fact1", True, tuple(entries))
+    return CheckReport("fact1", True, tuple(entries), vacuous=vacuous)
 
 
 def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
@@ -178,9 +195,13 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     at most the number of clique vertices with no neighbor in the component.
     """
     entries = []
+    vacuous = 0
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
+            continue
+        if not cell:
+            vacuous += 1  # lemma_gem.i
             continue
         w = find_induced(g, "p4", cell)
         entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
@@ -203,7 +224,7 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
                 if not g.has_edge(a, p.A[ell - 1]):
                     entries.append(_entry("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
                                           bits(g.adj[a] & p.I[ell - 1])))
-    return CheckReport("lemma_gem", True, tuple(entries))
+    return CheckReport("lemma_gem", True, tuple(entries), vacuous=vacuous)
 
 
 def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
@@ -218,9 +239,14 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
     if p.omega < 3:
         return CheckReport("lemma_class", False, reason="requires omega >= 3")
     entries = []
+    vacuous = 0
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
+            continue
+        if not cell:
+            # (ii), (iii) against the later cells and, for j >= 4, the column
+            vacuous += 1 + 2 * (omega - j) + (j - 2 if j >= 4 else 0)
             continue
         cp = p.Cprime[(i, j)]
         # (i) both directions
@@ -260,7 +286,7 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
                 entries.append(_entry("lemma_class.iv-column",
                                       {"cell": (i, j), "must_be_empty": other},
                                       bits(p.C[other])))
-    return CheckReport("lemma_class", True, tuple(entries))
+    return CheckReport("lemma_class", True, tuple(entries), vacuous=vacuous)
 
 
 def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:

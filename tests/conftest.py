@@ -13,6 +13,16 @@ def small_graphs(draw, min_n=1, max_n=9):
     return build_graph(n, picks)
 
 
+TOKENS = ["p", "e", "edge", "c", "x", "-1", *map(str, range(10)), "600",
+          "{", "}", "[", "]", '"', ",", ":", '"n"', '"edges"']
+
+
+def token_texts():
+    """Up to six lines of up to six input-format tokens each."""
+    lines = st.lists(st.lists(st.sampled_from(TOKENS), max_size=6), max_size=6)
+    return lines.map(lambda ls: "\n".join(" ".join(line) for line in ls))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """Deterministic class-member corpus shared across the slower tests."""

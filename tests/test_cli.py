@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemfree import cli, partition
 from gemfree.cli import main
 from gemfree.exact import max_clique
-from gemfree.graph_io import serialize
+from gemfree.graph_io import FORMATS, serialize
 from gemfree.generators import groetzsch_graph
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
+
+from conftest import small_graphs, token_texts
 
 
 @pytest.fixture
@@ -155,3 +161,25 @@ def test_suite_size_budget_zero(capsys):
     assert skipped == {4, 5, 7, 8}
     fixed = {c["id"] for c in rep["criteria"] if not c["skipped"]}
     assert {1, 2, 3, 6} <= fixed
+
+
+@st.composite
+def graph_texts(draw):
+    """A small graph in any format, sometimes cut short."""
+    text = serialize(draw(small_graphs(max_n=7)), draw(st.sampled_from(FORMATS)))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=st.one_of(st.text(max_size=40), token_texts(), graph_texts()),
+       suffix=st.sampled_from([".col", ".txt", ".json"]))
+def test_cli_on_any_file_exits_with_a_code(text, suffix, tmp_path_factory):
+    # arbitrary input ends with one of the documented exit codes, never a traceback
+    path = tmp_path_factory.mktemp("any") / f"input{suffix}"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "color", "partition", "chi"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3), (command, text)

@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -18,11 +19,13 @@ from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
 from gemfree.graph_io import serialize
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, join, mask_of
+from gemfree.partition import partition_for, run_all_checks
 from gemfree.patterns import (
     NAMED_PATTERNS,
     complete_graph,
     cycle_graph,
     find_induced,
+    is_class_member,
     is_p4_free,
     path_graph,
 )
@@ -130,6 +133,26 @@ def test_two_omega_at_the_vertex_limit():
     col, trace = color_two_omega(g)
     omega = 2 * 102  # two adjacent bags
     assert trace.verified and col.num_colors <= 2 * omega
+
+
+def test_atlas_members_certify():
+    """Every class member on at most 7 vertices: both colorings certify within
+    their bounds, exact chi is at most both counts, and the lemma checks pass."""
+    members = 0
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        if not g.n or not is_class_member(g)[0]:
+            continue
+        members += 1
+        two, trace = color_two_omega(g)
+        omega = len(trace.A)
+        three = color_three_omega(g)
+        assert trace.verified and verify_proper(g, two)[0] and verify_proper(g, three)[0]
+        assert two.num_colors <= 2 * omega and three.num_colors <= 3 * omega - 2
+        assert chromatic_number(g).chi <= min(two.num_colors, three.num_colors)
+        reports = run_all_checks(g, partition_for(g))
+        assert all(r.passed for r in reports.values() if r.applicable), list(h.edges())
+    assert members == 623
 
 
 def test_two_omega_rejects_non_member():

@@ -115,6 +115,14 @@ def test_random_member_strategies(strategy):
     assert g.n == 9 and is_class_member(g)[0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prune_small_n_redraws_short_expansions(n):
+    # n + randint(1, 5) can fall below the bag count of C5 or C4
+    for seed in range(60):
+        g = random_class_member(n, seed, "prune")
+        assert g.n == n and is_class_member(g)[0]
+
+
 class _Expanded(Exception):
     pass
 

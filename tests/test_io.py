@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from gemfree.cli import main
 from gemfree.graph_io import (
@@ -16,7 +15,7 @@ from gemfree.graph_io import (
 from gemfree.graphs import Graph, GraphError
 from gemfree.patterns import cycle_graph
 
-from conftest import small_graphs
+from conftest import small_graphs, token_texts
 
 
 @given(small_graphs(max_n=10))
@@ -109,13 +108,8 @@ def test_non_integer_token_names_line():
         parse_dimacs("c\np edge 3 1\ne 1 x\n")
 
 
-TOKENS = ["p", "e", "edge", "c", "x", "-1", *map(str, range(10)), "600",
-          "{", "}", "[", "]", '"', ",", ":", '"n"', '"edges"']
-
-
-@given(st.lists(st.lists(st.sampled_from(TOKENS), max_size=6), max_size=6))
-def test_parse_returns_graph_or_graph_error(lines):
-    text = "\n".join(" ".join(line) for line in lines)
+@given(token_texts())
+def test_parse_returns_graph_or_graph_error(text):
     for fmt in FORMATS:
         try:
             assert isinstance(parse(text, fmt), Graph)

@@ -1,9 +1,27 @@
-import pytest
+import json
+import random
+import re
 
-from gemfree.generators import schlafli_complement
+import networkx as nx
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import gemfree.partition
+from gemfree.exact import max_clique
+from gemfree.generators import (
+    STRATEGIES,
+    ExpansionSpec,
+    SamplingError,
+    complete_expansion,
+    groetzsch_graph,
+    random_class_member,
+    schlafli_complement,
+)
 from gemfree.graphs import bits, build_graph, mask_of
 from gemfree.partition import (
     PartitionError,
+    WBCPartition,
     build_partition,
     check_claim1,
     check_fact1,
@@ -45,6 +63,114 @@ def test_partition_rejects_non_maximum_clique():
         build_partition(complete_graph(4), (0, 1))
     with pytest.raises(PartitionError):
         build_partition(cycle_graph(5), (0, 2))  # not a clique
+
+
+@pytest.mark.parametrize("g,a,bad", [
+    (complete_graph(1), (99,), 99),
+    (complete_graph(1), (True,), True),
+    (complete_graph(2), (0, True), True),  # in range, but a bool
+    (cycle_graph(5), (-1, 0), -1),
+    (cycle_graph(5), (0.0, 1), 0.0),
+], ids=["out-of-range", "bool", "bool-in-range", "negative", "float"])
+def test_partition_rejects_bad_clique_entry(g, a, bad):
+    with pytest.raises(PartitionError, match=re.escape(f"A entry {bad!r} ")):
+        build_partition(g, a)
+
+
+def _dense_partition(g, a):
+    """Reference partition: every vertex and every lex pair examined one by one."""
+    amask = mask_of(a)
+    omega = len(a)
+    i_sets = [0] * omega
+    c_sets = {pair: 0 for pair in lex_pairs(omega)}
+    for v in range(g.n):
+        if amask >> v & 1:
+            continue
+        missed = [k for k in range(1, omega + 1) if not g.has_edge(v, a[k - 1])]
+        if len(missed) == 1:
+            i_sets[missed[0] - 1] |= 1 << v
+        else:
+            c_sets[(missed[0], missed[1])] |= 1 << v
+    cprime = {}
+    d_sets = {}
+    for pair, cell in c_sets.items():
+        iso = 0
+        for v in bits(cell):
+            if not g.adj[v] & cell:
+                iso |= 1 << v
+        cp = cell & ~iso
+        cprime[pair] = cp
+        d_sets[pair] = frozenset(
+            k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp
+        )
+    return WBCPartition(g, a, tuple(i_sets), c_sets, cprime, d_sets)
+
+
+def _assert_matches_dense(g, seed):
+    """partition_for and build_partition (A shuffled) give the reference JSON."""
+    def dump(p):
+        return json.dumps(p.to_json_dict())
+
+    a = tuple(bits(max_clique(g).witness))
+    assert dump(partition_for(g)) == dump(_dense_partition(g, a))
+    shuffled = list(a)
+    random.Random(seed).shuffle(shuffled)
+    assert dump(build_partition(g, shuffled)) == dump(_dense_partition(g, tuple(shuffled)))
+
+
+def test_partition_matches_dense_on_atlas():
+    members = 0
+    for index, h in enumerate(nx.graph_atlas_g()):
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        if g.n and is_class_member(g)[0]:
+            members += 1
+            _assert_matches_dense(g, index)
+    assert members == 623
+
+
+@st.composite
+def sampled_members(draw):
+    strategy = draw(st.sampled_from(STRATEGIES))
+    n = draw(st.integers(1, 16 if strategy == "reject" else 40))
+    seed = draw(st.integers(0, 10**6))
+    try:
+        return random_class_member(n, seed, strategy), seed
+    except SamplingError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_members())
+def test_partition_matches_dense_on_sampled_members(member):
+    _assert_matches_dense(*member)
+
+
+@pytest.mark.parametrize("make,counts", [
+    (schlafli_complement, [27, 50, 8, 0]),
+    (groetzsch_graph, [4, 0, 0, 0]),
+    (lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (3,) * 5)), [24, 27, 95, 1]),
+], ids=["schlafli-complement", "groetzsch", "K[C5](3)"])
+def test_num_entries_count_vacuous_clauses(make, counts):
+    g = make()
+    reports = run_all_checks(g, partition_for(g))
+    assert [r.to_json_dict()["num_entries"] for r in reports.values()] == counts
+
+
+def test_checks_at_the_vertex_limit(monkeypatch):
+    """K[C5](102), n=510: 2 of the 20,706 cells are non-empty, and only those
+    are searched; the vacuous clauses of the rest are counted."""
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
+    p = partition_for(g)
+    calls = {"find_induced": 0, "max_clique": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(gemfree.partition, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(gemfree.partition, name, counted)
+    reports = run_all_checks(g, p)
+    assert all(r.applicable and r.passed for r in reports.values())
+    assert [r.to_json_dict()["num_entries"] for r in reports.values()] == [21012, 31212, 5597621, 1]
+    assert calls["find_induced"] <= 4 and calls["max_clique"] <= 4
 
 
 def test_partition_covers_and_disjoint(corpus):
