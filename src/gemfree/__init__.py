@@ -36,12 +36,9 @@ from .graphs import (
     Graph,
     GraphError,
     bits,
-    bracket_complete,
-    bracket_empty,
     build_graph,
     complement,
     disjoint_union,
-    induced_subgraph,
     join,
     mask_of,
 )
@@ -52,7 +49,6 @@ from .patterns import (
     PatternWitness,
     find_induced,
     is_class_member,
-    is_isomorphic,
     is_p3_free,
     is_p4_free,
     pattern,

@@ -31,7 +31,7 @@ from .generators import (
     named_graph,
     random_class_member,
 )
-from .graph_io import FORMATS, read_graph, serialize
+from .graph_io import FORMATS, WRITERS, read_graph, serialize
 from .graphs import Graph, GraphError
 from .partition import partition_for, run_all_checks
 from .patterns import PatternError, is_class_member, pattern
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--strategy", choices=("reject", "expand", "prune"), default="reject")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=FORMATS + ("dot",), default="json")
+    p.add_argument("--format", choices=tuple(WRITERS), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--human", action="store_true")
     p.set_defaults(fn=cmd_gen)

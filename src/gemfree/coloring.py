@@ -73,12 +73,17 @@ class ColoringTrace:
 
 def verify_proper(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int] | None]:
     """Properness check; returns the lexicographically first conflicting edge."""
-    if len(coloring.colors) != g.n:
+    colors = coloring.colors
+    if len(colors) != g.n:
         raise GraphError("coloring is not total on V(G)")
-    for v in range(g.n):
-        for u in bits(g.adj[v] >> (v + 1) << (v + 1)):
-            if coloring.colors[v] == coloring.colors[u]:
-                return False, (v, u)
+    class_of: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        class_of[c] = class_of.get(c, 0) | 1 << v
+    # a clash with a lower vertex u would have been returned at u
+    for v, c in enumerate(colors):
+        clash = g.adj[v] & class_of[c]
+        if clash:
+            return False, (v, (clash & -clash).bit_length() - 1)
     return True, None
 
 

@@ -158,7 +158,7 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
     if g.n == 0:
-        return ChiResult(0, Coloring((), 0))
+        return ChiResult(0, Coloring(()))
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:

@@ -7,8 +7,6 @@ from pathlib import Path
 
 from .graphs import Graph, GraphError, build_graph
 
-FORMATS = ("dimacs", "edgelist", "json")
-
 
 def _int(token: str, lineno: int, line: str) -> int:
     try:
@@ -51,7 +49,9 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
 
 
 def to_dimacs(g: Graph) -> str:
-    lines = [f"c {g.name}" if g.name else "c", f"p edge {g.n} {g.num_edges}"]
+    # one comment line per line of the name: the reader splits lines the same way
+    lines = [f"c {part}" for part in g.name.splitlines()] or ["c"]
+    lines.append(f"p edge {g.n} {g.num_edges}")
     lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
@@ -124,37 +124,26 @@ def to_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_READERS = {"dimacs": parse_dimacs, "edgelist": parse_edgelist, "json": parse_json_graph}
+WRITERS = {"dimacs": to_dimacs, "edgelist": to_edgelist, "json": to_json_graph, "dot": to_dot}
+_SUFFIXES = {".col": "dimacs", ".json": "json", ".dot": "dot"}
+FORMATS = tuple(_READERS)
+
+
 def serialize(g: Graph, fmt: str) -> str:
-    if fmt == "dimacs":
-        return to_dimacs(g)
-    if fmt == "edgelist":
-        return to_edgelist(g)
-    if fmt == "json":
-        return to_json_graph(g)
-    if fmt == "dot":
-        return to_dot(g)
-    raise GraphError(f"unknown format {fmt!r}")
+    if fmt not in WRITERS:
+        raise GraphError(f"unknown format {fmt!r}")
+    return WRITERS[fmt](g)
 
 
 def parse(text: str, fmt: str, name: str = "") -> Graph:
-    if fmt == "dimacs":
-        return parse_dimacs(text, name)
-    if fmt == "edgelist":
-        return parse_edgelist(text, name)
-    if fmt == "json":
-        return parse_json_graph(text, name)
-    raise GraphError(f"unknown format {fmt!r}")
+    if fmt not in _READERS:
+        raise GraphError(f"unknown format {fmt!r}")
+    return _READERS[fmt](text, name)
 
 
 def format_for_path(path: str | Path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".col":
-        return "dimacs"
-    if suffix == ".json":
-        return "json"
-    if suffix == ".dot":
-        return "dot"
-    return "edgelist"
+    return _SUFFIXES.get(Path(path).suffix.lower(), "edgelist")
 
 
 def read_graph(path: str | Path, fmt: str | None = None) -> Graph:

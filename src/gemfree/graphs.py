@@ -158,21 +158,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, tuple(adj))
 
 
-def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Induced subgraph plus the new-index -> old-vertex map."""
-    if mask & ~g.full_mask:
-        raise GraphError("vertex set has bits outside the graph")
-    verts = list(bits(mask))
-    index = {v: i for i, v in enumerate(verts)}
-    adj = []
-    for v in verts:
-        row = 0
-        for u in bits(g.adj[v] & mask):
-            row |= 1 << index[u]
-        adj.append(row)
-    return Graph(len(verts), tuple(adj), g.name), verts
-
-
 def cograph_coloring(g: Graph, mask: int) -> dict[int, int] | None:
     """Optimal coloring of <mask> by its cotree, or None if <mask> has an induced P4.
 
@@ -202,35 +187,17 @@ def cograph_coloring(g: Graph, mask: int) -> dict[int, int] | None:
     return out
 
 
-def bracket_complete(g: Graph, s: int, t: int) -> bool:
-    """True iff every vertex of S is adjacent to every vertex of T."""
-    if s & t:
-        raise GraphError("bracket sets must be disjoint")
-    return all((g.adj[v] & t) == t for v in bits(s))
-
-
-def bracket_empty(g: Graph, s: int, t: int) -> bool:
-    """True iff there is no edge between S and T."""
-    if s & t:
-        raise GraphError("bracket sets must be disjoint")
-    return all(not (g.adj[v] & t) for v in bits(s))
-
-
 @dataclass(frozen=True)
 class Coloring:
     """Total vertex coloring; colors are positive ints, num_colors = max used."""
 
     colors: tuple[int, ...]
-    num_colors: int = field(default=-1)
+    num_colors: int = field(init=False)
 
     def __post_init__(self) -> None:
         if any(c < 1 for c in self.colors):
             raise GraphError("colors must be positive integers")
-        maxc = max(self.colors, default=0)
-        if self.num_colors == -1:
-            object.__setattr__(self, "num_colors", maxc)
-        elif self.num_colors < maxc:
-            raise GraphError("num_colors below maximum color used")
+        object.__setattr__(self, "num_colors", max(self.colors, default=0))
 
     @property
     def distinct_colors(self) -> int:
@@ -244,4 +211,4 @@ class Coloring:
             if c not in seen:
                 seen[c] = len(seen) + 1
             out.append(seen[c])
-        return Coloring(tuple(out), len(seen))
+        return Coloring(tuple(out))

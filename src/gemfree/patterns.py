@@ -10,7 +10,6 @@ of a non-member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .graphs import Graph, bits, build_graph, cograph_coloring, disjoint_union, join
 
@@ -251,25 +250,3 @@ def is_p4_free(g: Graph, within: int | None = None) -> bool:
     """True iff <within> (default: all of g) has no induced P4: its cotree walk
     finds no prime node (see `cograph_coloring`)."""
     return cograph_coloring(g, g.full_mask if within is None else within) is not None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism for small graphs (degree-sequence pruned)."""
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if sorted(g.degree(v) for v in range(g.n)) != sorted(h.degree(v) for v in range(h.n)):
-        return False
-    if g.n > 10:
-        raise PatternError("brute-force isomorphism limited to 10 vertices")
-    hdeg = [h.degree(v) for v in range(h.n)]
-    gdeg = [g.degree(v) for v in range(g.n)]
-    for perm in permutations(range(h.n)):
-        if any(gdeg[v] != hdeg[perm[v]] for v in range(g.n)):
-            continue
-        if all(
-            g.has_edge(a, b) == h.has_edge(perm[a], perm[b])
-            for a in range(g.n)
-            for b in range(a + 1, g.n)
-        ):
-            return True
-    return False

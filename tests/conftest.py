@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -11,6 +12,18 @@ def small_graphs(draw, min_n=1, max_n=9):
     picks = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)) if pairs
                  else st.just([]))
     return build_graph(n, picks)
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def delete_vertex(g, v):
+    """G - v, the vertices above v moving down by one."""
+    return build_graph(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
 
 
 TOKENS = ["p", "e", "edge", "c", "x", "-1", *map(str, range(10)), "600",

@@ -3,6 +3,7 @@ import json
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemfree import coloring
 from gemfree.cli import main
@@ -49,6 +50,22 @@ def test_verify_proper_conflict():
 def test_verify_proper_c5():
     ok, edge = verify_proper(cycle_graph(5), Coloring((1, 2, 1, 2, 3)))
     assert ok and edge is None
+
+
+def _first_conflict_by_edges(g, colors):
+    """Reference for verify_proper: walk the higher neighbours of each vertex."""
+    for v in range(g.n):
+        for u in bits(g.adj[v] >> (v + 1) << (v + 1)):
+            if colors[v] == colors[u]:
+                return False, (v, u)
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=12), st.integers(min_value=1, max_value=4), st.data())
+def test_verify_proper_matches_edge_walk(g, k, data):
+    colors = tuple(data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n)))
+    assert verify_proper(g, Coloring(colors)) == _first_conflict_by_edges(g, colors)
 
 
 def test_verify_requires_total():

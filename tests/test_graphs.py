@@ -1,5 +1,6 @@
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -9,18 +10,15 @@ from gemfree.graphs import (
     Coloring,
     GraphError,
     bits,
-    bracket_complete,
-    bracket_empty,
     build_graph,
     complement,
     disjoint_union,
-    induced_subgraph,
     join,
     mask_of,
 )
-from gemfree.patterns import complete_graph, cycle_graph, is_isomorphic, path_graph
+from gemfree.patterns import complete_graph, cycle_graph, find_induced, path_graph
 
-from conftest import small_graphs
+from conftest import small_graphs, to_nx
 
 
 def test_build_c5():
@@ -75,7 +73,7 @@ def test_complement_k4_is_edgeless():
 
 def test_c5_self_complementary():
     c5 = cycle_graph(5)
-    assert is_isomorphic(complement(c5), c5)
+    assert nx.is_isomorphic(to_nx(complement(c5)), to_nx(c5))
 
 
 @given(small_graphs(max_n=8))
@@ -90,7 +88,7 @@ def test_union_and_join_edge_counts(g1, g2):
 
 
 def test_join_k2_k3_is_k5():
-    assert is_isomorphic(join(complete_graph(2), complete_graph(3)), complete_graph(5))
+    assert nx.is_isomorphic(to_nx(join(complete_graph(2), complete_graph(3))), to_nx(complete_graph(5)))
 
 
 def test_union_p3_p2_shape():
@@ -100,56 +98,22 @@ def test_union_p3_p2_shape():
 
 
 def test_induced_consecutive_c5_is_p4():
-    sub, verts = induced_subgraph(cycle_graph(5), mask_of([0, 1, 2, 3]))
-    assert verts == [0, 1, 2, 3]
-    assert is_isomorphic(sub, path_graph(4))
-
-
-@given(small_graphs(max_n=8))
-def test_induced_full_is_identity(g):
-    sub, verts = induced_subgraph(g, g.full_mask)
-    assert sub.adj == g.adj and verts == list(range(g.n))
-
-
-def test_induced_rejects_out_of_range():
-    with pytest.raises(GraphError):
-        induced_subgraph(cycle_graph(4), 1 << 7)
+    w = find_induced(cycle_graph(5), "p4", mask_of([0, 1, 2, 3]))
+    assert w is not None and w.embedding == (0, 1, 2, 3)
 
 
 def test_gem_minus_path_end_is_diamond():
     gem = join(complete_graph(1), path_graph(4))  # apex is vertex 0
-    sub, _ = induced_subgraph(gem, mask_of([0, 1, 2, 3]))
-    diamond = join(complete_graph(1), path_graph(3))
-    assert is_isomorphic(sub, diamond)
+    assert find_induced(gem, "diamond", mask_of([0, 1, 2, 3])) is not None
 
 
 def test_brackets_on_join_and_union():
     left = mask_of([0, 1])
     right = mask_of([2, 3, 4])
     g = join(complete_graph(2), complete_graph(3))
-    assert bracket_complete(g, left, right)
+    assert all(g.adj[v] & right == right for v in bits(left))
     u = disjoint_union(complete_graph(2), complete_graph(3))
-    assert bracket_empty(u, left, right)
-
-
-def test_bracket_c5_example():
-    c5 = cycle_graph(5)
-    assert bracket_empty(c5, mask_of([0]), mask_of([2, 3]))
-    assert not bracket_complete(c5, mask_of([0]), mask_of([2, 3]))
-
-
-def test_bracket_rejects_overlap():
-    with pytest.raises(GraphError):
-        bracket_complete(cycle_graph(4), mask_of([0, 1]), mask_of([1, 2]))
-
-
-@given(small_graphs(max_n=7))
-def test_bracket_both_iff_one_empty(g):
-    # complete and empty simultaneously only for an empty side
-    s = mask_of(v for v in range(g.n) if v % 2 == 0)
-    t = mask_of(v for v in range(g.n) if v % 2 == 1)
-    if bracket_complete(g, s, t) and bracket_empty(g, s, t):
-        assert s == 0 or t == 0
+    assert not any(u.adj[v] & right for v in bits(left))
 
 
 def test_coloring_normalize():
@@ -157,6 +121,13 @@ def test_coloring_normalize():
     n = c.normalize()
     assert n.colors == (1, 2, 1, 3) and n.num_colors == 3
     assert n.distinct_colors == n.num_colors
+
+
+def test_coloring_num_colors_is_largest_color():
+    assert Coloring((2, 5, 1)).num_colors == 5
+    assert Coloring(()).num_colors == 0
+    with pytest.raises(TypeError):
+        Coloring((1, 2), 3)
 
 
 def test_coloring_rejects_nonpositive():

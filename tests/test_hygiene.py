@@ -1,20 +1,22 @@
 """Static hygiene of the package source.
 
 No module imports a name it never uses; `__init__.py` is exempt because its
-imports are the package's re-exports. No module but `graphs.py` copies an
-induced subgraph: searches run inside vertex masks of the host instead.
-These checks use only `ast`; the import-cost check imports the package in a
-child interpreter.
+imports are the package's re-exports, and each of those has a caller in the
+package or is named in README.md. No module copies an induced subgraph:
+searches run inside vertex masks of the host instead. These checks use only
+`ast`; the import-cost check imports the package in a child interpreter.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gemfree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gemfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,8 +41,7 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graphs.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_induced_subgraph_copies(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
@@ -50,6 +51,21 @@ def test_no_induced_subgraph_copies(path):
         == "induced_subgraph"
     ]
     assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"
+
+
+def test_every_export_has_a_caller_or_doc():
+    exported = _imported_names(ast.parse((SRC / "__init__.py").read_text()))
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    documented = {word for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
+                  for word in re.findall(r"\w+", span)}
+    orphans = sorted(set(exported) - used - documented)
+    assert not orphans, f"exported with no caller in the package and no README mention: {orphans}"
 
 
 def test_import_does_not_load_networkx():

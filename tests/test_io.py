@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gemfree.cli import main
 from gemfree.graph_io import (
@@ -18,11 +19,13 @@ from gemfree.patterns import cycle_graph
 from conftest import small_graphs, token_texts
 
 
-@given(small_graphs(max_n=10))
-def test_roundtrip_all_formats(g):
+@given(small_graphs(max_n=10), st.text())
+def test_roundtrip_all_formats(g, name):
+    g = Graph(g.n, g.adj, name)
     for fmt in ("dimacs", "edgelist", "json"):
         back = parse(serialize(g, fmt), fmt)
         assert back.n == g.n and back.adj == g.adj
+    assert parse(serialize(g, "json"), "json").name == name
 
 
 def test_dimacs_comments_and_1_based():
