@@ -157,6 +157,23 @@ def _assign_pool(colors: list[int], comp: int, pool: list[int], where: str,
     return used
 
 
+def _color_cell(g: Graph, colors: list[int], cell: int, pool: list[int], name: str,
+                where: str, trace: ColoringTrace) -> None:
+    """Each clique component of the cell `name` takes colors from `pool`."""
+    for comp in _clique_components(g, cell, f"component of {name}", trace):
+        _assign_pool(colors, comp, pool, where, trace)
+
+
+def _color_all(colors: list[int], mask: int, color: int, where: str,
+               trace: ColoringTrace) -> None:
+    """Every vertex of `mask` takes one `color`; a nonempty mask is recorded."""
+    verts = list(bits(mask))
+    for v in verts:
+        colors[v] = color
+    if verts:
+        trace.record_pool(where, verts, [color] * len(verts))
+
+
 def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
     """Proper coloring of a class member with at most 2*omega(G) colors."""
     p = _member_partition(g)
@@ -170,40 +187,22 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
         for v in bits(p.I[k - 1]):
             colors[v] = k
 
-    c12 = p.C.get((1, 2), 0)
-
     if omega <= 2:
         trace.case = "omega<=2"
-        stray = 0
-        for pair, cell in p.C.items():
-            if pair != (1, 2):
-                stray |= cell
-        if stray:
+        if set(p.C) - {(1, 2)}:
             raise CertificationError("cells outside C_{1,2} despite omega <= 2", trace=trace)
-        pool = list(range(omega + 1, 2 * omega + 1))
-        for comp in _clique_components(g, c12, "component of C_{1,2}", trace):
-            _assign_pool(colors, comp, pool, "C_{1,2}", trace)
+        _color_cell(g, colors, p.C.get((1, 2), 0), list(range(omega + 1, 2 * omega + 1)),
+                    "C_{1,2}", "C_{1,2}", trace)
     else:
-        case1 = any(cell and pair[0] >= 3 for pair, cell in p.C.items())
-        if case1:
+        if any(i >= 3 for i, _ in p.C):
             trace.case = "Case1"
-            for pair in sorted(p.C):
+            for pair, cell in p.C.items():
                 if pair == (1, 2):
                     continue
-                cell = p.C[pair]
-                if not cell:
-                    continue
                 cp = p.Cprime[pair]
-                pool = sorted(p.D[pair])
-                for comp in _clique_components(g, cp, f"component of C'_{pair}", trace):
-                    _assign_pool(colors, comp, pool, f"C'_{pair} from D{pair}", trace)
-                for v in bits(cell & ~cp):
-                    colors[v] = pair[0]
-                if cell & ~cp:
-                    trace.record_pool(
-                        f"C_{pair} leftovers", sorted(bits(cell & ~cp)),
-                        [pair[0]] * (cell & ~cp).bit_count(),
-                    )
+                _color_cell(g, colors, cp, sorted(p.D[pair]), f"C'_{pair}",
+                            f"C'_{pair} from D{pair}", trace)
+                _color_all(colors, cell & ~cp, pair[0], f"C_{pair} leftovers", trace)
         else:
             _color_case2(g, p, colors, trace)
         _color_c12(g, p, colors, trace)
@@ -215,8 +214,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
 
 def _unique_live_row_cell(p: WBCPartition, row: int, trace: ColoringTrace) -> int | None:
     """The unique column j >= 3 with C'_{row,j} nonempty, or None."""
-    live = [j for j in range(3, p.omega + 1)
-            if j > row and p.Cprime.get((row, j), 0)]
+    live = [j for (i, j), cp in p.Cprime.items() if i == row and j >= 3 and cp]
     if len(live) > 1:
         raise CertificationError(
             f"multiple live C' cells in row {row}: {live} (contradicts uniqueness)",
@@ -227,12 +225,11 @@ def _unique_live_row_cell(p: WBCPartition, row: int, trace: ColoringTrace) -> in
 
 def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrace) -> None:
     omega = p.omega
-    a = p.A
     j = _unique_live_row_cell(p, 1, trace)
     ell = _unique_live_row_cell(p, 2, trace)
     trace.j, trace.l = j, ell
-    cp1 = p.Cprime.get((1, j), 0) if j else 0
-    cp2 = p.Cprime.get((2, ell), 0) if ell else 0
+    cp1 = p.Cprime[(1, j)] if j else 0
+    cp2 = p.Cprime[(2, ell)] if ell else 0
     d1 = p.D[(1, j)] if j else frozenset()
     d2 = p.D[(2, ell)] if ell else frozenset()
     shared = d1 & d2 if (j and ell) else frozenset()
@@ -242,14 +239,9 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
 
     if not cp1 or not cp2 or not shared:
         trace.case = "Case2-simple"
-        if cp1:
-            pool = sorted(d1)
-            for comp in _clique_components(g, cp1, f"component of C'_(1,{j})", trace):
-                _assign_pool(colors, comp, pool, f"C'_(1,{j}) from D(1,{j})", trace)
-        if cp2:
-            pool = sorted(d2)
-            for comp in _clique_components(g, cp2, f"component of C'_(2,{ell})", trace):
-                _assign_pool(colors, comp, pool, f"C'_(2,{ell}) from D(2,{ell})", trace)
+        _color_cell(g, colors, cp1, sorted(d1), f"C'_(1,{j})", f"C'_(1,{j}) from D(1,{j})", trace)
+        _color_cell(g, colors, cp2, sorted(d2), f"C'_(2,{ell})", f"C'_(2,{ell}) from D(2,{ell})",
+                    trace)
     elif len(shared) >= 2:
         trace.case = "Case2.1"
         comps1 = _clique_components(g, cp1, f"component of C'_(1,{j})", trace)
@@ -276,9 +268,8 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
                 _assign_pool(colors, comp, sorted(used_t), "C'_(2,l) reuse of T colors", trace)
     else:
         trace.case = "Case2.2"
-        pool2 = sorted(d2)
-        for comp in _clique_components(g, cp2, f"component of C'_(2,{ell})", trace):
-            _assign_pool(colors, comp, pool2, f"C'_(2,{ell}) from D(2,{ell})", trace)
+        _color_cell(g, colors, cp2, sorted(d2), f"C'_(2,{ell})",
+                    f"C'_(2,{ell}) from D(2,{ell})", trace)
         pool1 = sorted(d1 - shared) + [omega + 1]
         for comp in _clique_components(g, cp1, f"component of C'_(1,{j})", trace):
             used = _assign_pool(colors, comp, pool1, f"C'_(1,{j}) from D minus shared + w+1", trace)
@@ -287,21 +278,12 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
     trace.u_vertices = tuple(u_vertices)
 
     # leftovers of rows 1 and 2 take the row color
-    left1 = 0
-    left2 = 0
-    for q in range(3, omega + 1):
-        left1 |= p.C.get((1, q), 0)
-        left2 |= p.C.get((2, q), 0)
-    left1 &= ~cp1
-    left2 &= ~cp2
-    for v in bits(left1):
-        colors[v] = 1
-    for v in bits(left2):
-        colors[v] = 2
-    if left1:
-        trace.record_pool("row-1 leftovers", sorted(bits(left1)), [1] * left1.bit_count())
-    if left2:
-        trace.record_pool("row-2 leftovers", sorted(bits(left2)), [2] * left2.bit_count())
+    left = {1: 0, 2: 0}
+    for (i, q), cell in p.C.items():
+        if i <= 2 and q >= 3:
+            left[i] |= cell
+    _color_all(colors, left[1] & ~cp1, 1, "row-1 leftovers", trace)
+    _color_all(colors, left[2] & ~cp2, 2, "row-2 leftovers", trace)
 
 
 def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrace) -> None:
@@ -331,10 +313,9 @@ def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrac
                         trace=trace,
                     )
                 z_list.append(z)
-                colors[z] = omega + 1
                 _assign_pool(colors, comp & ~(1 << z), upper_pool,
                              "C_{1,2} full component minus z", trace)
-                trace.record_pool("z gets w+1", [z], [omega + 1])
+                _color_all(colors, 1 << z, omega + 1, "z gets w+1", trace)
             else:
                 _assign_pool(colors, comp, upper_pool, "C_{1,2} (small)", trace)
         trace.z_vertices = tuple(z_list)
@@ -357,12 +338,12 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
     piece1 = 0  # (v_k u I_k for k >= 2) plus all cells with i >= 2
     for k in range(2, omega + 1):
         piece1 |= (1 << a[k - 1]) | p.I[k - 1]
+    piece2 = (1 << a[0]) | p.I[0]  # v_1 u I_1 plus cells C_{1,j}, j >= 3
     for (i, j), cell in p.C.items():
         if i >= 2:
             piece1 |= cell
-    piece2 = (1 << a[0]) | p.I[0]  # v_1 u I_1 plus cells C_{1,j}, j >= 3
-    for j in range(3, omega + 1):
-        piece2 |= p.C.get((1, j), 0)
+        elif j >= 3:
+            piece2 |= cell
     c12 = p.C.get((1, 2), 0)
 
     colors = [0] * g.n

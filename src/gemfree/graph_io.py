@@ -138,7 +138,8 @@ def serialize(g: Graph, fmt: str) -> str:
 
 def parse(text: str, fmt: str, name: str = "") -> Graph:
     if fmt not in _READERS:
-        raise GraphError(f"unknown format {fmt!r}")
+        raise GraphError(f"format {fmt!r} is write-only" if fmt in WRITERS
+                         else f"unknown format {fmt!r}")
     return _READERS[fmt](text, name)
 
 

@@ -6,14 +6,15 @@ clique positions. C'_{i,j} drops the vertices isolated inside their cell;
 D_{i,j} collects the clique positions with no neighbor in C'_{i,j}.
 
 Class members fill few of the C(w,2) cells, so only the non-empty cells are
-computed: each outside vertex is classified once from the mask of clique
-vertices it misses, and C' and D are built per non-empty cell. An empty cell
-has C = C' = 0 and D = every position. The dense `C`/`Cprime`/`D` dicts still
-hold every lex pair.
+computed and held: each outside vertex is classified once from the mask of
+clique vertices it misses, and C' and D are built per non-empty cell. The
+`C`/`Cprime`/`D` maps hold exactly the non-empty cells, in lex order. An empty
+cell has C = C' = 0 and D = every position; only `to_json_dict` spells that
+out, listing every lex pair.
 
 The checkers turn the structural statements that hold for (P3 u P2)-free /
 gem-free / class-member graphs into executable predicates with machine-readable
-reports; on class members every clause must pass. They check the non-empty
+reports; on class members every clause must pass. They walk the non-empty
 cells only: the clauses an empty cell makes vacuously true are counted in
 `CheckReport.vacuous`, and so in `num_entries`, without being built.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .exact import max_clique
 from .graphs import Graph, bits, mask_of
@@ -44,9 +45,9 @@ class WBCPartition:
     graph: Graph
     A: tuple[int, ...]  # v_1..v_omega by position
     I: tuple[int, ...]  # I_1..I_omega as masks (index k-1)
-    C: dict[LexPair, int]  # cell masks, all pairs in L
-    Cprime: dict[LexPair, int]
-    D: dict[LexPair, frozenset[int]]  # clique positions 1..omega
+    C: dict[LexPair, int]  # the non-empty cell masks, in lex order
+    Cprime: dict[LexPair, int]  # same keys as C
+    D: dict[LexPair, frozenset[int]]  # same keys as C; clique positions 1..omega
 
     @property
     def omega(self) -> int:
@@ -59,12 +60,15 @@ class WBCPartition:
         )
 
     def to_json_dict(self) -> dict[str, Any]:
+        # every lex pair: an empty cell has C = C' = [] and D = every position
+        keys = {pair: f"{pair[0]},{pair[1]}" for pair in lex_pairs(self.omega)}
+        every = range(1, self.omega + 1)
         return {
             "A": list(self.A),
             "I": {str(k + 1): sorted(bits(self.I[k])) for k in range(self.omega)},
-            "C": {f"{i},{j}": sorted(bits(m)) for (i, j), m in self.C.items()},
-            "Cprime": {f"{i},{j}": sorted(bits(m)) for (i, j), m in self.Cprime.items()},
-            "D": {f"{i},{j}": sorted(d) for (i, j), d in self.D.items()},
+            "C": {key: sorted(bits(self.C.get(pair, 0))) for pair, key in keys.items()},
+            "Cprime": {key: sorted(bits(self.Cprime.get(pair, 0))) for pair, key in keys.items()},
+            "D": {key: sorted(self.D.get(pair, every)) for pair, key in keys.items()},
         }
 
 
@@ -101,17 +105,11 @@ def _partition(g: Graph, a: tuple[int, ...]) -> WBCPartition:
             # A may come in any order: the least positions need not be the lowest bits
             i, j = islice((k for k, u in enumerate(a, 1) if missed >> u & 1), 2)
             cells[(i, j)] = cells.get((i, j), 0) | 1 << v
-    pairs = lex_pairs(omega)
-    c_sets = dict.fromkeys(pairs, 0)
-    cprime = dict.fromkeys(pairs, 0)
-    d_sets = dict.fromkeys(pairs, frozenset(range(1, omega + 1)))
-    for pair, cell in cells.items():
-        cp = cell & ~mask_of(v for v in bits(cell) if not g.adj[v] & cell)
-        c_sets[pair] = cell
-        cprime[pair] = cp
-        d_sets[pair] = frozenset(
-            k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp
-        )
+    c_sets = dict(sorted(cells.items()))
+    cprime = {pair: cell & ~mask_of(v for v in bits(cell) if not g.adj[v] & cell)
+              for pair, cell in c_sets.items()}
+    d_sets = {pair: frozenset(k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp)
+              for pair, cp in cprime.items()}
     return WBCPartition(g, a, tuple(i_sets), c_sets, cprime, d_sets)
 
 
@@ -158,6 +156,13 @@ def _entry(clause: str, bindings: dict[str, Any], witness: Iterable[int]) -> Che
     return CheckEntry(clause, bindings, not w, w or None)
 
 
+def _vacuous(p: WBCPartition, jmin: int, per_cell: Callable[[int], int]) -> int:
+    """Clauses the empty cells (i, j) with j >= jmin make vacuously true, at
+    `per_cell(j)` each: those of every such pair less those of the non-empty cells."""
+    every = sum((j - 1) * per_cell(j) for j in range(jmin, p.omega + 1))  # j-1 pairs end at j
+    return every - sum(per_cell(j) for _, j in p.C if j >= jmin)
+
+
 def _first_pair(g: Graph, s: int, t: int, flip: int) -> tuple[int, ...]:
     """First (v in S, u in T) with v ~ u (flip=0) or v !~ u (flip=-1), or ()."""
     for v in bits(s):
@@ -174,17 +179,13 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     (ii) a in C_{i,j} is adjacent to v_1..v_j except v_i, v_j.
     """
     entries = []
-    vacuous = 0
     for (i, j), cell in p.C.items():
-        if not cell:
-            vacuous += 1  # fact1.i
-            continue
         w = find_induced(g, "p3", cell)
         entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
             entries.append(_entry("fact1.ii", {"i": i, "j": j, "a": a}, bad))
-    return CheckReport("fact1", True, tuple(entries), vacuous=vacuous)
+    return CheckReport("fact1", True, tuple(entries), vacuous=_vacuous(p, 2, lambda j: 1))
 
 
 def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
@@ -195,13 +196,9 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     at most the number of clique vertices with no neighbor in the component.
     """
     entries = []
-    vacuous = 0
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
-            continue
-        if not cell:
-            vacuous += 1  # lemma_gem.i
             continue
         w = find_induced(g, "p4", cell)
         entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
@@ -224,7 +221,8 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
                 if not g.has_edge(a, p.A[ell - 1]):
                     entries.append(_entry("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
                                           bits(g.adj[a] & p.I[ell - 1])))
-    return CheckReport("lemma_gem", True, tuple(entries), vacuous=vacuous)
+    return CheckReport("lemma_gem", True, tuple(entries),
+                       vacuous=_vacuous(p, 3, lambda j: 1))  # lemma_gem.i
 
 
 def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
@@ -239,14 +237,9 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
     if p.omega < 3:
         return CheckReport("lemma_class", False, reason="requires omega >= 3")
     entries = []
-    vacuous = 0
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
-            continue
-        if not cell:
-            # (ii), (iii) against the later cells and, for j >= 4, the column
-            vacuous += 1 + 2 * (omega - j) + (j - 2 if j >= 4 else 0)
             continue
         cp = p.Cprime[(i, j)]
         # (i) both directions
@@ -270,22 +263,24 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
         column = [(k, j) for k in range(1, j) if k != i] if j >= 4 else []
         for other in later:
             entries.append(_entry("lemma_class.iii", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C[other], 0)))
+                                  _first_pair(g, cell, p.C.get(other, 0), 0)))
         for other in column:
             entries.append(_entry("lemma_class.iii-column", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C[other], 0)))
+                                  _first_pair(g, cell, p.C.get(other, 0), 0)))
         if cp:
             for other in later:
                 entries.append(_entry("lemma_class.iv", {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C[other])))
+                                      bits(p.C.get(other, 0))))
             for ell in range(max(3, i + 1), j):
                 entries.append(_entry("lemma_class.iv",
                                       {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
-                                      bits(p.Cprime[(i, ell)])))
+                                      bits(p.Cprime.get((i, ell), 0))))
             for other in column:
                 entries.append(_entry("lemma_class.iv-column",
                                       {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C[other])))
+                                      bits(p.C.get(other, 0))))
+    # an empty cell's (ii), and its (iii) against the later cells and, for j >= 4, the column
+    vacuous = _vacuous(p, 3, lambda j: 1 + 2 * (omega - j) + (j - 2 if j >= 4 else 0))
     return CheckReport("lemma_class", True, tuple(entries), vacuous=vacuous)
 
 
@@ -295,11 +290,12 @@ def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:
     if p.omega < 3:
         return CheckReport("claim1", False, reason="requires omega >= 3")
     left = 0
-    for j in range(3, p.omega + 1):
-        left |= p.Cprime[(1, j)] | p.Cprime[(2, j)]
+    for (i, j), cp in p.Cprime.items():
+        if i <= 2 and j >= 3:
+            left |= cp
     entries = []
     for (r, s), cell in p.C.items():
-        if r < 3 or not cell:
+        if r < 3:
             continue
         target = cell | (1 << p.A[r - 1]) | (1 << p.A[s - 1])
         entries.append(_entry("claim1", {"r": r, "s": s},

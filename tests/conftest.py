@@ -1,7 +1,9 @@
 import networkx as nx
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
+from gemfree.generators import STRATEGIES, SamplingError, random_class_member
 from gemfree.graphs import build_graph
 
 
@@ -12,6 +14,18 @@ def small_graphs(draw, min_n=1, max_n=9):
     picks = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)) if pairs
                  else st.just([]))
     return build_graph(n, picks)
+
+
+@st.composite
+def sampled_members(draw):
+    """A seeded class member from any sampling strategy, with its seed."""
+    strategy = draw(st.sampled_from(STRATEGIES))
+    n = draw(st.integers(1, 16 if strategy == "reject" else 40))
+    seed = draw(st.integers(0, 10**6))
+    try:
+        return random_class_member(n, seed, strategy), seed
+    except SamplingError:
+        assume(False)
 
 
 def to_nx(g):

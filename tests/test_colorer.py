@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gemfree import coloring
@@ -31,7 +31,7 @@ from gemfree.patterns import (
     path_graph,
 )
 
-from conftest import small_graphs
+from conftest import delete_vertex, sampled_members, small_graphs
 
 
 def case21_graph():
@@ -257,6 +257,30 @@ def test_three_omega_bound_on_corpus(corpus):
         col = color_three_omega(g)
         assert verify_proper(g, col)[0]
         assert col.num_colors <= max(3 * omega - 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_members(), st.data())
+def test_relabelled_member_certifies_with_same_omega(member, data):
+    g, _ = member
+    h = g.relabel(data.draw(st.permutations(range(g.n))))
+    two, trace = color_two_omega(h)
+    three, omega = coloring._three_omega(h)
+    assert len(trace.A) == omega == max_clique(g).omega
+    assert trace.verified and verify_proper(h, two)[0] and verify_proper(h, three)[0]
+    assert two.num_colors <= 2 * omega and three.num_colors <= 3 * omega - 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_members(), st.data())
+def test_member_minus_a_vertex_certifies_within_two_omega(member, data):
+    g, _ = member
+    assume(g.n >= 2)
+    h = delete_vertex(g, data.draw(st.integers(0, g.n - 1)))
+    assert is_class_member(h)[0]
+    col, trace = color_two_omega(h)
+    assert trace.verified and verify_proper(h, col)[0]
+    assert col.num_colors <= 2 * max_clique(h).omega
 
 
 def test_coloring_requires_vertices():

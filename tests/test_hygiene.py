@@ -3,8 +3,10 @@
 No module imports a name it never uses; `__init__.py` is exempt because its
 imports are the package's re-exports, and each of those has a caller in the
 package or is named in README.md. No module copies an induced subgraph:
-searches run inside vertex masks of the host instead. These checks use only
-`ast`; the import-cost check imports the package in a child interpreter.
+searches run inside vertex masks of the host instead. Only `partition.py`
+lists every lex pair: the partition maps hold the non-empty cells, and the
+other modules walk those. These checks use only `ast`; the import-cost check
+imports the package in a child interpreter.
 """
 
 import ast
@@ -41,16 +43,26 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_induced_subgraph_copies(path):
+def _call_lines(path: Path, name: str) -> list[int]:
+    """Lines of the calls to a function or method called `name`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    calls = [
+    return [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-        == "induced_subgraph"
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
     ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_induced_subgraph_copies(path):
+    calls = _call_lines(path, "induced_subgraph")
     assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"
+
+
+def test_only_partition_lists_every_lex_pair():
+    calls = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name != "partition.py" and (lines := _call_lines(path, "lex_pairs"))}
+    assert not calls, f"lex_pairs called outside partition.py: {calls}"
 
 
 def test_every_export_has_a_caller_or_doc():

@@ -125,6 +125,17 @@ def test_dot_export_mentions_all_edges():
     assert dot.count("--") == 4
 
 
+def test_dot_input_is_named_write_only(tmp_path, capsys):
+    with pytest.raises(GraphError, match="format 'dot' is write-only"):
+        parse(to_dot(cycle_graph(4)), "dot")
+    with pytest.raises(GraphError, match="unknown format 'gml'"):
+        parse("", "gml")
+    p = tmp_path / "g.dot"
+    p.write_text(to_dot(cycle_graph(4)))
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == "error: format 'dot' is write-only\n"
+
+
 def test_read_graph_infers_format(tmp_path):
     p = tmp_path / "c5.col"
     p.write_text(serialize(cycle_graph(5), "dimacs"))

@@ -4,18 +4,14 @@ import re
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import gemfree.partition
 from gemfree.exact import max_clique
 from gemfree.generators import (
-    STRATEGIES,
     ExpansionSpec,
-    SamplingError,
     complete_expansion,
     groetzsch_graph,
-    random_class_member,
     schlafli_complement,
 )
 from gemfree.graphs import bits, build_graph, mask_of
@@ -32,6 +28,8 @@ from gemfree.partition import (
     run_all_checks,
 )
 from gemfree.patterns import complete_graph, cycle_graph, is_class_member
+
+from conftest import sampled_members
 
 
 def test_c5_partition_forced():
@@ -107,15 +105,18 @@ def _dense_partition(g, a):
 
 
 def _assert_matches_dense(g, seed):
-    """partition_for and build_partition (A shuffled) give the reference JSON."""
-    def dump(p):
-        return json.dumps(p.to_json_dict())
+    """partition_for and build_partition (A shuffled) give the reference JSON,
+    and their maps hold exactly the reference's non-empty cells, in lex order."""
+    def check(p, ref):
+        assert json.dumps(p.to_json_dict()) == json.dumps(ref.to_json_dict())
+        live = [pair for pair, cell in ref.C.items() if cell]
+        assert list(p.C) == list(p.Cprime) == list(p.D) == live
 
     a = tuple(bits(max_clique(g).witness))
-    assert dump(partition_for(g)) == dump(_dense_partition(g, a))
+    check(partition_for(g), _dense_partition(g, a))
     shuffled = list(a)
     random.Random(seed).shuffle(shuffled)
-    assert dump(build_partition(g, shuffled)) == dump(_dense_partition(g, tuple(shuffled)))
+    check(build_partition(g, shuffled), _dense_partition(g, tuple(shuffled)))
 
 
 def test_partition_matches_dense_on_atlas():
@@ -126,17 +127,6 @@ def test_partition_matches_dense_on_atlas():
             members += 1
             _assert_matches_dense(g, index)
     assert members == 623
-
-
-@st.composite
-def sampled_members(draw):
-    strategy = draw(st.sampled_from(STRATEGIES))
-    n = draw(st.integers(1, 16 if strategy == "reject" else 40))
-    seed = draw(st.integers(0, 10**6))
-    try:
-        return random_class_member(n, seed, strategy), seed
-    except SamplingError:
-        assume(False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,16 +190,20 @@ def test_partition_fixed_point(corpus):
 
 
 def test_partition_respects_relabeling():
-    g = schlafli_complement()
-    p = partition_for(g)
-    perm = [(v * 5 + 3) % g.n for v in range(g.n)]  # a bijection on 0..26
-    assert len(set(perm)) == g.n
-    h = g.relabel(perm)
-    q = build_partition(h, [perm[v] for v in p.A])
-    assert q.A == tuple(perm[v] for v in p.A)
-    for pair in lex_pairs(p.omega):
-        assert sorted(perm[v] for v in bits(p.C[pair])) == sorted(bits(q.C[pair]))
-        assert q.D[pair] == p.D[pair]
+    # the Schlafli complement fills all 3 cells; K[C5](3) fills 2 of 15
+    k_c5_3 = complete_expansion(ExpansionSpec(cycle_graph(5), (3,) * 5))
+    for g, step, filled in [(schlafli_complement(), 5, 3), (k_c5_3, 7, 2)]:
+        p = partition_for(g)
+        perm = [(v * step + 3) % g.n for v in range(g.n)]  # step is coprime to n
+        assert len(set(perm)) == g.n
+        h = g.relabel(perm)
+        q = build_partition(h, [perm[v] for v in p.A])
+        assert q.A == tuple(perm[v] for v in p.A)
+        assert list(q.C) == list(p.C) and len(p.C) == filled
+        pj, qj = p.to_json_dict(), q.to_json_dict()
+        for part in ("I", "C", "Cprime"):
+            assert qj[part] == {key: sorted(perm[v] for v in vs) for key, vs in pj[part].items()}
+        assert qj["D"] == pj["D"]
 
 
 def test_cprime_drops_exactly_isolated(corpus):
