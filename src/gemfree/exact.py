@@ -3,6 +3,13 @@
 All solvers are exact and deterministic in their returned values; they are
 sized for the desk-scale instances this package cares about (n <= 64 for the
 chromatic search, n <= a few hundred for cliques).
+
+When alpha(G) <= 2, chi(G) = n - nu(co-G), where nu is the size of a maximum
+matching: colour classes have at most two vertices, and the two-vertex classes
+are the matched non-edges. `chromatic_number` and `chi_alpha2_shortcut` decide
+alpha <= 2 as "co-G is triangle-free" in O(n^2) mask operations and then run
+Edmonds' blossom algorithm on the complement masks in O(n^3); only inputs
+with alpha > 2 reach the DSATUR search.
 """
 
 from __future__ import annotations
@@ -149,16 +156,134 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     return None
 
 
+def _alpha2_complement(g: Graph) -> list[int] | None:
+    """Neighbour masks of the complement if alpha(G) <= 2, else None.
+
+    alpha(G) <= 2 iff co-G is triangle-free, that is iff no complement edge
+    uv, u < v, has ends with a common complement neighbour: O(n^2) mask ANDs.
+    """
+    full = g.full_mask
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    for u, row in enumerate(co):
+        for v in bits(row >> (u + 1) << (u + 1)):
+            if row & co[v]:
+                return None
+    return co
+
+
+def _max_matching(n: int, adj: list[int]) -> list[int]:
+    """Maximum-cardinality matching of the graph with neighbour masks `adj`.
+
+    Edmonds' blossom algorithm: a greedy matching, then one BFS from each
+    vertex still free. The BFS grows an alternating tree from the root; an
+    edge between two outer vertices closes an odd cycle (a blossom), which is
+    contracted by pointing the `base` of its vertices at the cycle's base, and
+    the first free vertex reached ends an augmenting path that is flipped. A
+    root with no augmenting path never gets one later, so one search per root
+    suffices: O(n^3) in all. Returns `mate`, with mate[v] = -1 if v is free.
+    """
+    mate = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        cand = adj[v] & free
+        if free >> v & 1 and cand:
+            u = (cand & -cand).bit_length() - 1
+            mate[u], mate[v] = v, u
+            free &= ~(1 << u | 1 << v)
+    for root in range(n):
+        if mate[root] < 0:
+            _augment_from(root, n, adj, mate)
+    return mate
+
+
+def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
+    """Flip one augmenting path from the free vertex `root`, if there is one."""
+    base = list(range(n))
+    members = [1 << v for v in range(n)]  # members[b]: vertices whose base is b
+    parent = [-1] * n  # previous vertex on an alternating path: inner vertices, blossom members
+    outer = 1 << root  # vertices queued as even ends of alternating paths
+    inner = 0  # odd tree vertices outside any blossom: an edge to one changes nothing
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        """Base of the blossom an edge between outer vertices a and b closes."""
+        path = 0
+        while True:
+            a = base[a]
+            path |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if path >> b & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, b: int, child: int, blossom: int) -> int:
+        """Add the bases from v down to b to `blossom`, threading parents through child."""
+        while base[v] != b:
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return blossom
+
+    for v in queue:
+        for to in bits(adj[v] & ~inner & ~members[base[v]]):
+            if base[v] == base[to] or mate[v] == to:  # a contraction in this scan can merge them
+                continue
+            if outer >> to & 1:
+                b = lca(v, to)
+                blossom = mark(to, b, v, mark(v, b, to, 0))
+                grown = 0
+                for x in bits(blossom & ~(1 << b)):
+                    grown |= members[x]
+                members[b] |= grown
+                for i in bits(grown):
+                    base[i] = b
+                    if not outer >> i & 1:
+                        outer |= 1 << i
+                        inner &= ~(1 << i)
+                        queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                inner |= 1 << to
+                if mate[to] < 0:  # the path root .. v, to augments: flip it
+                    while to >= 0:
+                        p = parent[to]
+                        nxt = mate[p]
+                        mate[to], mate[p] = p, to
+                        to = nxt
+                    return
+                outer |= 1 << mate[to]
+                queue.append(mate[to])
+
+
 def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
     """Exact chromatic number with an optimal coloring witness.
 
-    Iterative deepening on k from the clique lower bound, DSATUR backtracking
-    with max-clique symmetry breaking. Refuses instances larger than `max_n`.
+    Refuses instances larger than `max_n`, whatever their structure. When
+    alpha(G) <= 2 (an O(n^2) test), chi is n minus a maximum matching of the
+    complement (O(n^3)): matched pairs share a colour, numbered in order of
+    first occurrence. Otherwise: iterative deepening on k from the clique
+    lower bound, DSATUR backtracking with max-clique symmetry breaking.
     """
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
     if g.n == 0:
         return ChiResult(0, Coloring(()))
+    co = _alpha2_complement(g)
+    if co is not None:
+        colors = [0] * g.n
+        k = 0
+        for v, u in enumerate(_max_matching(g.n, co)):
+            if 0 <= u < v:
+                colors[v] = colors[u]
+            else:
+                k += 1
+                colors[v] = k
+        return ChiResult(k, Coloring(tuple(colors)))
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:
@@ -169,18 +294,15 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
 
 
 def chi_alpha2_shortcut(g: Graph) -> int:
-    """Chromatic number when alpha(G) <= 2.
+    """Chromatic number when alpha(G) <= 2; ValueError otherwise.
 
     Color classes have size <= 2, so an optimal coloring is n minus a maximum
-    matching of the complement (matched pairs share a color).
+    matching of the complement (matched pairs share a color). The same O(n^2)
+    test and O(n^3) blossom matching as `chromatic_number`, without its size
+    guard.
     """
-    if independence_number(g) > 2:
+    co = _alpha2_complement(g)
+    if co is None:
         raise ValueError("shortcut requires independence number <= 2")
-    import networkx as nx  # lazy: the import costs more than the rest of `import gemfree`
-
-    co = complement(g)
-    h = nx.Graph()
-    h.add_nodes_from(range(co.n))
-    h.add_edges_from(co.edges())
-    matching = nx.max_weight_matching(h, maxcardinality=True)
-    return g.n - len(matching)
+    mate = _max_matching(g.n, co)
+    return g.n - (g.n - mate.count(-1)) // 2

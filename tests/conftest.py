@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from gemfree.exact import _k_colorable, max_clique
 from gemfree.generators import STRATEGIES, SamplingError, random_class_member
-from gemfree.graphs import build_graph
+from gemfree.graphs import Graph, bits, build_graph, complement
 
 
 @st.composite
@@ -26,6 +27,32 @@ def sampled_members(draw):
         return random_class_member(n, seed, strategy), seed
     except SamplingError:
         assume(False)
+
+
+@st.composite
+def alpha2_graphs(draw, max_n=8):
+    """Complements of triangle-free graphs, so alpha <= 2: each pair, in a
+    drawn order, becomes a complement edge unless it would close a triangle."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    adj = [0] * n
+    for u, v in pairs[:draw(st.integers(min_value=0, max_value=len(pairs)))]:
+        if not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return complement(Graph(n, tuple(adj)))
+
+
+def dsatur_chi(g):
+    """chi by the DSATUR search alone: the route `chromatic_number` takes on
+    every input with alpha > 2, kept as a reference for the alpha <= 2 one."""
+    if g.n == 0:
+        return 0
+    clique = sorted(bits(max_clique(g).witness))
+    k = len(clique)
+    while _k_colorable(g, k, clique) is None:
+        k += 1
+    return k
 
 
 def to_nx(g):

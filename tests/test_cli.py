@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfree import cli, partition
+from gemfree import cli, exact, partition
 from gemfree.cli import main
-from gemfree.exact import max_clique
+from gemfree.exact import chromatic_number, max_clique
 from gemfree.graph_io import FORMATS, serialize
-from gemfree.generators import groetzsch_graph
+from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
 
 from conftest import small_graphs, token_texts
@@ -107,6 +107,26 @@ def test_color_rejects_non_member(files, capsys):
     code, out = run(capsys, "color", files["gem"], "--algorithm", "two-omega")
     rep = json.loads(out)
     assert code == 1 and rep["error"] == "class-violation"
+
+
+def test_alpha2_input_skips_dsatur(tmp_path, capsys, monkeypatch):
+    # an induced subgraph of K[C5](5): n = 23, omega = 10, alpha = 2, chi = ceil(23 / 2)
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (5, 5, 5, 4, 4)))
+    path = tmp_path / "c5x.col"
+    path.write_text(serialize(g, "dimacs"))
+
+    def refuse(*args):
+        raise AssertionError("DSATUR search ran on an alpha <= 2 input")
+
+    monkeypatch.setattr(exact, "_k_colorable", refuse)
+    assert max_clique(g).omega == 10 and chromatic_number(g).chi == 12
+    code, out = run(capsys, "chi", str(path))
+    assert code == 0 and json.loads(out)["chi"] == 12
+    code, out = run(capsys, "color", str(path), "--algorithm", "exact")
+    rep = json.loads(out)
+    assert code == 0 and rep["num_colors"] == 12 and rep["verified"] is True
+    code, out = run(capsys, "chi", str(path), "--max-n", "10")
+    assert code == 2
 
 
 def test_chi_guardrail_flag(files, capsys):

@@ -1,11 +1,15 @@
 import itertools
+import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemfree.exact import (
     SizeGuardError,
+    _alpha2_complement,
+    _max_matching,
     chi_alpha2_shortcut,
     chromatic_number,
     clique_number,
@@ -20,8 +24,9 @@ from gemfree.generators import (
 )
 from gemfree.graphs import Graph, bits, build_graph, complement, mask_of
 from gemfree.patterns import complete_graph, cycle_graph
+from gemfree.suite import _exhaustive_chi
 
-from conftest import delete_vertex, small_graphs
+from conftest import alpha2_graphs, delete_vertex, dsatur_chi, small_graphs, to_nx
 
 
 def test_max_clique_k4():
@@ -127,4 +132,58 @@ def test_chi_monotone_under_induced(g):
 @given(small_graphs(min_n=1, max_n=7))
 def test_shortcut_agrees_with_exact_when_applicable(g):
     if independence_number(g) <= 2:
-        assert chi_alpha2_shortcut(g) == chromatic_number(g).chi
+        assert chi_alpha2_shortcut(g) == chromatic_number(g).chi == dsatur_chi(g)
+
+
+@st.composite
+def blossom_graphs(draw):
+    """Up to 24 vertices: odd cycles on consecutive vertices, which make the
+    matching search contract blossoms, under random edges of a drawn density."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    start = 0
+    for length in draw(st.lists(st.sampled_from([3, 5, 7, 9]), max_size=6)):
+        if start + length > n:
+            break
+        edges += [(start + i, start + (i + 1) % length) for i in range(length)]
+        start += length
+    return build_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blossom_graphs())
+def test_max_matching_is_maximum(g):
+    mate = _max_matching(g.n, list(g.adj))
+    for v, u in enumerate(mate):
+        assert u == -1 or (mate[u] == v and g.has_edge(u, v))
+    size = (g.n - mate.count(-1)) // 2
+    assert size == len(nx.max_weight_matching(to_nx(g), maxcardinality=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha2_graphs())
+def test_chi_alpha2_matches_dsatur_and_exhaustive(g):
+    r = chromatic_number(g)
+    assert r.chi == dsatur_chi(g) == _exhaustive_chi(g)
+    assert all(r.witness.colors[u] != r.witness.colors[v] for u, v in g.edges())
+    assert r.witness == r.witness.normalize()
+    assert r.witness.distinct_colors == r.witness.num_colors == r.chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(min_n=0, max_n=9), alpha2_graphs(max_n=9)))
+def test_alpha2_test_agrees_with_independence_number(g):
+    co = _alpha2_complement(g)
+    assert (co is not None) == (independence_number(g) <= 2)
+    assert co is None or tuple(co) == complement(g).adj
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_c5_expansion_chi_is_five_omega_over_four(m):
+    # K[C5](m): omega = 2m, chi = ceil(5 * omega / 4) = ceil(5m / 2)
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (m,) * 5))
+    r = chromatic_number(g)
+    assert r.chi == chi_alpha2_shortcut(g) == math.ceil(5 * m / 2)
+    assert all(r.witness.colors[u] != r.witness.colors[v] for u, v in g.edges())

@@ -5,8 +5,9 @@ imports are the package's re-exports, and each of those has a caller in the
 package or is named in README.md. No module copies an induced subgraph:
 searches run inside vertex masks of the host instead. Only `partition.py`
 lists every lex pair: the partition maps hold the non-empty cells, and the
-other modules walk those. These checks use only `ast`; the import-cost check
-imports the package in a child interpreter.
+other modules walk those. No module imports networkx, a test dependency
+only. These checks use only `ast`; the two networkx-loading checks import the
+package in a child interpreter.
 """
 
 import ast
@@ -80,9 +81,33 @@ def test_every_export_has_a_caller_or_doc():
     assert not orphans, f"exported with no caller in the package and no README mention: {orphans}"
 
 
-def test_import_does_not_load_networkx():
-    # networkx is imported where it is used: loading it costs more than the package
+def _networkx_loaded(statements: str) -> str:
+    """'True' or 'False': is networkx loaded in a child after `import gemfree; statements`?"""
     code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import gemfree; "
-            "print('networkx' in sys.modules)")
+            f"{statements}; print('networkx' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_networkx():
+    # loading networkx costs more than the package
+    assert _networkx_loaded("pass") == "False"
+
+
+def test_exact_chi_does_not_load_networkx():
+    # networkx is a test dependency only: the alpha <= 2 matching is native
+    assert _networkx_loaded(
+        "from gemfree.patterns import cycle_graph; "
+        "g = gemfree.complete_expansion(gemfree.ExpansionSpec(cycle_graph(5), (2, 2, 2, 2, 2))); "
+        "assert gemfree.chromatic_number(g).chi == gemfree.chi_alpha2_shortcut(g) == 5") == "False"
+
+
+def test_no_module_imports_networkx():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "networkx" for name in names):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert not found, f"networkx imported at {found}"
