@@ -7,6 +7,7 @@ bound violation, failing criterion), 2 input error, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -43,10 +44,6 @@ EXIT_INPUT = 2
 EXIT_CERTIFICATION = 3
 
 
-def _input_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _emit(report: dict, human: bool) -> None:
     if human:
         for k, v in report.items():
@@ -55,31 +52,30 @@ def _emit(report: dict, human: bool) -> None:
         print(json.dumps(report, default=str))
 
 
-def _base_report(args: argparse.Namespace, **extra) -> dict:
+def _base_report(args: argparse.Namespace, input_sha256: str | None = None, **extra) -> dict:
     rep = {"command": args.command, "version": __version__}
-    if getattr(args, "path", None):
+    if input_sha256 is not None:
         rep["input"] = args.path
-        try:
-            rep["input_sha256"] = _input_hash(args.path)
-        except OSError:
-            pass
+        rep["input_sha256"] = input_sha256
     if getattr(args, "seed", None) is not None:
         rep["seed"] = args.seed
     rep.update(extra)
     return rep
 
 
-def _load(args: argparse.Namespace) -> Graph:
-    return read_graph(args.path, args.format)
+def _load(args: argparse.Namespace) -> tuple[Graph, str]:
+    """The input graph and the hash of the very bytes it was parsed from."""
+    g, data = read_graph(args.path, args.format)
+    return g, hashlib.sha256(data).hexdigest()[:16]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, sha = _load(args)
     forbidden = tuple(s.strip() for s in args.cls.split(",")) if args.cls else ("p3up2", "gem")
     for name in forbidden:
         pattern(name)  # validate names up front
     member, witness = is_class_member(g, forbidden)
-    rep = _base_report(args, n=g.n, m=g.num_edges, forbidden=list(forbidden), member=member)
+    rep = _base_report(args, sha, n=g.n, m=g.num_edges, forbidden=list(forbidden), member=member)
     if witness is not None:
         rep["witness"] = {"pattern": witness.pattern_name, "embedding": list(witness.embedding)}
     _emit(rep, args.human)
@@ -87,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, sha = _load(args)
     t0 = time.perf_counter()
     trace_dict = None
     if args.algorithm == "two-omega":
@@ -109,7 +105,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     else:
         raise GraphError(f"unknown algorithm {args.algorithm!r}")
     rep = _base_report(
-        args,
+        args, sha,
         algorithm=args.algorithm,
         omega=omega,
         bound=2 * omega if args.algorithm == "two-omega" else
@@ -126,11 +122,11 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_chi(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, sha = _load(args)
     t0 = time.perf_counter()
     res = chromatic_number(g, max_n=args.max_n)
     rep = _base_report(
-        args, chi=res.chi,
+        args, sha, chi=res.chi,
         colors={str(v): res.witness.colors[v] for v in range(g.n)},
         runtime_s=round(time.perf_counter() - t0, 3),
     )
@@ -139,11 +135,11 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    g = _load(args)
+    g, sha = _load(args)
     p = partition_for(g)
     reports = run_all_checks(g, p)
     rep = _base_report(
-        args,
+        args, sha,
         omega=p.omega,
         partition=p.to_json_dict(),
         checks={name: r.to_json_dict() for name, r in reports.items()},
@@ -218,23 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--class", dest="cls", default=None,
                    help="comma-separated pattern names (default p3up2,gem)")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("color", help="color a graph")
     add_input(p)
     p.add_argument("--algorithm", choices=("two-omega", "three-omega", "greedy", "exact"),
                    default="two-omega")
     p.add_argument("--max-n", type=int, default=64)
-    p.set_defaults(fn=cmd_color)
 
     p = sub.add_parser("chi", help="exact chromatic number")
     add_input(p)
     p.add_argument("--max-n", type=int, default=64)
-    p.set_defaults(fn=cmd_chi)
 
     p = sub.add_parser("partition", help="clique-relative partition + lemma reports")
     add_input(p)
-    p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("gen", help="emit a generated graph")
     p.add_argument("name", help="named graph, 'expansion', or 'random'")
@@ -246,21 +238,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=tuple(WRITERS), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("suite", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size-budget", type=int, default=200)
     p.add_argument("--human", action="store_true")
-    p.set_defaults(fn=cmd_suite)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares, built by the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one `gemfree` command on `argv` and return its exit code.
+
+    May be called repeatedly in one process. The parser is built on the first
+    call and reused: parsing leaves it unchanged, and help and usage text are
+    laid out anew for the terminal width of each call. Nothing else is kept:
+    each call reads, parses and checks its own input file. The `cmd_*`
+    function is looked up by name at call time, so a patched one runs.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ClassViolationError as exc:
         print(json.dumps({
             "error": "class-violation",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -147,7 +148,14 @@ def format_for_path(path: str | Path) -> str:
     return _SUFFIXES.get(Path(path).suffix.lower(), "edgelist")
 
 
-def read_graph(path: str | Path, fmt: str | None = None) -> Graph:
-    text = Path(path).read_text()
-    fmt = fmt or format_for_path(path)
-    return parse(text, fmt, name=Path(path).stem)
+def read_graph(path: str | Path, fmt: str | None = None) -> tuple[Graph, bytes]:
+    """The graph in the file at `path` and the bytes it was parsed from, read once.
+
+    The bytes are decoded exactly as `Path.read_text()` decodes them: the
+    encoding `io.text_encoding(None)` names (UTF-8 in UTF-8 mode, else the
+    locale's), strict errors, universal newlines.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    return parse(text, fmt or format_for_path(path), name=path.stem), data

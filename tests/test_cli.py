@@ -1,17 +1,26 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfree import cli, exact, partition
-from gemfree.cli import main
+import gemfree
+from gemfree import cli, coloring, exact, partition
+from gemfree.cli import build_parser, main
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.graph_io import FORMATS, serialize
-from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph
+from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
+from gemfree.suite import CriterionResult
 
 from conftest import small_graphs, token_texts
 
@@ -203,3 +212,146 @@ def test_cli_on_any_file_exits_with_a_code(text, suffix, tmp_path_factory):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, str(path)])
         assert code in (0, 1, 2, 3), (command, text)
+
+
+RUNTIME = re.compile(r'"runtime_s": [0-9.e-]+')
+
+
+def _call(run, argv):
+    """Exit code, stdout and stderr of `run(argv)`, with report run times masked.
+
+    A `SystemExit` (argparse usage error, `--help`, `--version`) gives the code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, RUNTIME.sub('"runtime_s": 0', out.getvalue()), err.getvalue()
+
+
+REUSE_CASES = [  # argv ({name} is a file of the `files` fixture), exit code
+    (["check", "{c5}"], 0),
+    (["check", "{gem}"], 1),
+    *((["color", "{groetzsch}", "--algorithm", a], 0)
+      for a in ("two-omega", "three-omega", "greedy", "exact")),
+    (["chi", "{c5}"], 0),
+    (["partition", "{groetzsch}"], 0),
+    (["gen", "random", "--n", "8", "--seed", "3"], 0),
+    (["color", "{c5}", "--algorithm", "bogus"], 2),
+    (["--version"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,want", REUSE_CASES,
+                         ids=["-".join(a.strip("{}-") for a in argv) for argv, _ in REUSE_CASES])
+def test_cached_parser_repeats_the_first_call(argv, want, files, monkeypatch):
+    argv = [a.format(**files) for a in argv]
+    cli._parser.cache_clear()
+    first = _call(main, argv)
+    assert cli._parser.cache_info().currsize == 1 and first[0] == want
+    assert _call(main, argv) == first
+    assert _call(main, argv) == first
+
+
+def test_cached_parser_lays_out_help_for_each_width(monkeypatch):
+    _call(main, ["--version"])  # the parser is built before the width changes
+    helps = {}
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        cached = _call(main, ["check", "--help"])
+        assert cached == _call(build_parser().parse_args, ["check", "--help"])
+        assert helps.setdefault(columns, cached) == cached and cached[0] == 0
+    assert helps["40"] != helps["120"]
+
+
+def test_patched_command_runs_after_parser_is_cached(files, monkeypatch):
+    assert _call(main, ["check", files["c5"]])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.path) or 7)
+    assert main(["check", files["c5"]]) == 7 and seen == [files["c5"]]
+
+
+def test_each_call_rereads_its_input(tmp_path):
+    path = tmp_path / "g.col"
+    reports = []
+    for g, want in ((cycle_graph(5), 0), (NAMED_PATTERNS["gem"], 1)):
+        path.write_text(serialize(g, "dimacs"))
+        code, out, _ = _call(main, ["check", str(path)])
+        assert code == want
+        reports.append(json.loads(out))
+    assert reports[1]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert reports[0]["input_sha256"] != reports[1]["input_sha256"]
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import gemfree.cli\n"
+        "print(len(built), gemfree.cli._parser.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gemfree.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+@pytest.fixture
+def exit_table(files, tmp_path):
+    """(argv, stub or None, exit code): each command with one input per outcome."""
+    truncated = tmp_path / "truncated.col"
+    truncated.write_text("p edge 3 1\ne 1\n")
+    dot = tmp_path / "c5.dot"
+    dot.write_text(serialize(cycle_graph(5), "dot"))
+    schlafli = tmp_path / "schlafli.col"
+    schlafli.write_text(serialize(schlafli_complement(), "dimacs"))
+    c5, gem, groetzsch = files["c5"], files["gem"], files["groetzsch"]
+    bad, missing = str(truncated), str(tmp_path / "missing.col")
+    failing_suite = (cli, "run_suite", lambda **kw: [CriterionResult(1, "stub", passed=False)])
+    return [
+        (["check", c5], None, 0),
+        (["check", gem], None, 1),
+        (["check", bad], None, 2),
+        (["check", c5, "--class", "nosuch"], None, 2),
+        (["check", str(dot)], None, 2),
+        (["color", groetzsch], None, 0),
+        (["color", gem], None, 1),
+        (["color", bad], None, 2),
+        (["color", c5, "--algorithm", "exact", "--max-n", "3"], None, 2),
+        (["color", str(schlafli)], (coloring, "_color_c12", lambda *args: None), 3),
+        (["chi", c5], None, 0),
+        (["chi", c5, "--max-n", "3"], None, 2),
+        (["chi", missing], None, 2),
+        (["partition", groetzsch], None, 0),
+        (["partition", gem], None, 1),
+        (["partition", bad], None, 2),
+        (["partition", c5, "--format", "nope"], None, 2),
+        (["gen", "groetzsch", "--format", "dimacs"], None, 0),
+        (["gen", "nosuch"], None, 2),
+        (["gen", "random", "--n", "0"], None, 2),
+        (["suite", "--size-budget", "0"], None, 0),
+        (["suite", "--size-budget", "0"], failing_suite, 1),
+        (["suite", "--size-budget", "x"], None, 2),
+    ]
+
+
+def test_exit_codes_in_any_order(exit_table, monkeypatch):
+    # two orders in one process: no state leaks from one call to the next
+    outputs = []
+    for seed in (1, 2):
+        order = list(enumerate(exit_table))
+        random.Random(seed).shuffle(order)
+        seen = {}
+        for i, (argv, stub, want) in order:
+            with monkeypatch.context() as m:
+                if stub is not None:
+                    m.setattr(*stub)
+                seen[i] = _call(main, argv)
+            assert seen[i][0] == want, (seed, argv, seen[i])
+        outputs.append(seen)
+    assert outputs[0] == outputs[1]

@@ -1,13 +1,21 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gemfree
 from gemfree.cli import main
 from gemfree.graph_io import (
     FORMATS,
     parse,
     parse_dimacs,
     parse_edgelist,
+    format_for_path,
     parse_json_graph,
     read_graph,
     serialize,
@@ -139,5 +147,75 @@ def test_dot_input_is_named_write_only(tmp_path, capsys):
 def test_read_graph_infers_format(tmp_path):
     p = tmp_path / "c5.col"
     p.write_text(serialize(cycle_graph(5), "dimacs"))
-    g = read_graph(p)
+    g, data = read_graph(p)
     assert g.n == 5 and g.num_edges == 5 and g.name == "c5"
+    assert data == p.read_bytes()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (GraphError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name,data", [
+    ("crlf.json", b'{"n": 3,\r\n "edges": [[0, 1],\r\n [1, 2]]}\r\n'),
+    ("crlf-bad.json", b'{"n": 3,\r\n "edges": [[0, 1],\r\n [1, 2]\r\n'),
+    ("cr-only.txt", b"3 2\r0 1\r1 x\r"),
+    ("crlf.col", b"c g\r\np edge 3 2\r\ne 1 2\r\ne 2\r\n"),
+    ("latin1.col", b"c caf\xe9\np edge 2 1\ne 1 2\n"),
+    ("bom.json", b'\xef\xbb\xbf{"n": 2, "edges": [[0, 1]]}'),
+])
+def test_read_graph_decodes_as_read_text(name, data, tmp_path):
+    # the bytes are read once, then decoded as `Path.read_text()` would decode them
+    p = tmp_path / name
+    p.write_bytes(data)
+    want = _outcome(lambda: parse(p.read_text(), format_for_path(p), p.stem))
+    assert _outcome(lambda: read_graph(p)[0]) == want
+
+
+_DECODE_PROBE = """
+import json, sys
+from pathlib import Path
+from gemfree.graph_io import format_for_path, parse, read_graph
+
+def outcome(fn):
+    try:
+        g = fn()
+        return [g.n, g.num_edges, g.name]
+    except ValueError as exc:
+        return [type(exc).__name__, str(exc)]
+
+rows = []
+for arg in sys.argv[1:]:
+    p = Path(arg)
+    rows.append([outcome(lambda: read_graph(p)[0]),
+                 outcome(lambda: parse(p.read_text(), format_for_path(p), p.stem))])
+print(json.dumps([sys.flags.utf8_mode, rows]))
+"""
+
+
+@pytest.mark.parametrize("flags,env,utf8", [
+    (["-X", "utf8"], {"LC_ALL": "C"}, 1),
+    ([], {"LC_ALL": "C"}, 1),  # the C locale turns UTF-8 mode on by itself
+    (["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}, 0),  # ASCII
+])
+def test_read_graph_decodes_as_read_text_in_every_mode(flags, env, utf8, tmp_path):
+    # a child interpreter, as the encoding that `read_text()` uses is fixed at start-up
+    files = []
+    for name, data in (("utf8.col", "c café\np edge 2 1\ne 1 2\n".encode()),
+                       ("latin1.col", b"c caf\xe9\np edge 2 1\ne 1 2\n"),
+                       ("ascii.col", b"c g\r\np edge 2 1\r\ne 1 2\r\n")):
+        files.append(tmp_path / name)
+        files[-1].write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(gemfree.__file__).resolve().parents[1]), **env)
+    proc = subprocess.run([sys.executable, *flags, "-c", _DECODE_PROBE, *map(str, files)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    mode, rows = json.loads(proc.stdout)
+    assert mode == utf8
+    for got, want in rows:
+        assert got == want
+    # the UTF-8 comment parses in UTF-8 mode and is refused in ASCII
+    assert (rows[0][0] == [2, 1, "utf8"]) == bool(utf8)
