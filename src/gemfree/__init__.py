@@ -18,7 +18,6 @@ from .exact import (
     SizeGuardError,
     chi_alpha2_shortcut,
     chromatic_number,
-    independence_number,
     max_clique,
 )
 from .generators import (

@@ -94,16 +94,13 @@ def cmd_color(args: argparse.Namespace) -> int:
     elif args.algorithm == "three-omega":
         coloring, omega = _three_omega(g)
         verified = True
-    elif args.algorithm == "greedy":
-        coloring = greedy_coloring(g, list(range(g.n)))
-        verified = verify_proper(g, coloring)[0]
-        omega = max_clique(g).omega
-    elif args.algorithm == "exact":
-        coloring = chromatic_number(g, max_n=args.max_n).witness
-        verified = verify_proper(g, coloring)[0]
-        omega = max_clique(g).omega
     else:
-        raise GraphError(f"unknown algorithm {args.algorithm!r}")
+        if args.algorithm == "greedy":
+            coloring = greedy_coloring(g, list(range(g.n)))
+        else:
+            coloring = chromatic_number(g, max_n=args.max_n).witness
+        verified = verify_proper(g, coloring)[0]
+        omega = max_clique(g).omega
     rep = _base_report(
         args, sha,
         algorithm=args.algorithm,

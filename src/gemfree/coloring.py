@@ -25,13 +25,15 @@ class ClassViolationError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """The constructed coloring failed re-verification (bug or proof-gap candidate)."""
+    """The constructed coloring failed re-verification (bug or proof-gap candidate).
 
-    def __init__(self, message: str, conflict: tuple[int, int] | None = None,
-                 trace: "ColoringTrace | None" = None):
+    `color_two_omega` attaches its trace as it stood at the failure.
+    """
+
+    def __init__(self, message: str, conflict: tuple[int, int] | None = None):
         super().__init__(message)
         self.conflict = conflict
-        self.trace = trace
+        self.trace: ColoringTrace | None = None
 
 
 @dataclass
@@ -120,27 +122,25 @@ def _member_partition(g: Graph) -> WBCPartition:
     return partition_for(g)
 
 
-def _certify(g: Graph, colors: list[int], bound: int, bound_name: str,
-             trace: ColoringTrace | None) -> Coloring:
+def _certify(g: Graph, colors: list[int], bound: int, bound_name: str) -> Coloring:
     """Shared colorer tail: totality, the color bound, then properness."""
     if 0 in colors:
-        raise CertificationError("coloring not total", trace=trace)
+        raise CertificationError("coloring not total")
     coloring = Coloring(tuple(colors))
     if coloring.num_colors > bound:
-        raise CertificationError(f"bound {bound_name} exceeded", trace=trace)
+        raise CertificationError(f"bound {bound_name} exceeded")
     ok, conflict = verify_proper(g, coloring)
     if not ok:
-        raise CertificationError("improper coloring produced", conflict=conflict, trace=trace)
+        raise CertificationError("improper coloring produced", conflict=conflict)
     return coloring
 
 
-def _clique_components(g: Graph, cell: int, what: str,
-                       trace: ColoringTrace | None) -> list[int]:
+def _clique_components(g: Graph, cell: int, what: str) -> list[int]:
     """Components of a cell, certified to be cliques (P3-freeness consequence)."""
     comps = g.components(cell)
     for comp in comps:
         if not g.is_clique(comp):
-            raise CertificationError(f"{what} is not a clique", trace=trace)
+            raise CertificationError(f"{what} is not a clique")
     return comps
 
 
@@ -149,7 +149,7 @@ def _assign_pool(colors: list[int], comp: int, pool: list[int], where: str,
     """Injective pool assignment: ascending vertices take ascending pool colors."""
     verts = list(bits(comp))
     if len(verts) > len(pool):
-        raise CertificationError(f"color pool exhausted at {where}", trace=trace)
+        raise CertificationError(f"color pool exhausted at {where}")
     used = pool[: len(verts)]
     for v, c in zip(verts, used):
         colors[v] = c
@@ -160,7 +160,7 @@ def _assign_pool(colors: list[int], comp: int, pool: list[int], where: str,
 def _color_cell(g: Graph, colors: list[int], cell: int, pool: list[int], name: str,
                 where: str, trace: ColoringTrace) -> None:
     """Each clique component of the cell `name` takes colors from `pool`."""
-    for comp in _clique_components(g, cell, f"component of {name}", trace):
+    for comp in _clique_components(g, cell, f"component of {name}"):
         _assign_pool(colors, comp, pool, where, trace)
 
 
@@ -177,8 +177,19 @@ def _color_all(colors: list[int], mask: int, color: int, where: str,
 def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
     """Proper coloring of a class member with at most 2*omega(G) colors."""
     p = _member_partition(g)
+    trace = ColoringTrace(A=p.A)
+    try:
+        coloring = _certify(g, _color_cases(g, p, trace), 2 * p.omega, "2*omega")
+    except CertificationError as exc:
+        exc.trace = trace
+        raise
+    trace.verified = True
+    return coloring, trace
+
+
+def _color_cases(g: Graph, p: WBCPartition, trace: ColoringTrace) -> list[int]:
+    """The 2*omega construction: base colors, then the proof case that applies."""
     a, omega = p.A, p.omega
-    trace = ColoringTrace(A=a)
     colors = [0] * g.n
 
     # base colors: position k covers v_k and I_k
@@ -190,7 +201,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
     if omega <= 2:
         trace.case = "omega<=2"
         if set(p.C) - {(1, 2)}:
-            raise CertificationError("cells outside C_{1,2} despite omega <= 2", trace=trace)
+            raise CertificationError("cells outside C_{1,2} despite omega <= 2")
         _color_cell(g, colors, p.C.get((1, 2), 0), list(range(omega + 1, 2 * omega + 1)),
                     "C_{1,2}", "C_{1,2}", trace)
     else:
@@ -206,27 +217,23 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
         else:
             _color_case2(g, p, colors, trace)
         _color_c12(g, p, colors, trace)
-
-    coloring = _certify(g, colors, 2 * omega, "2*omega", trace)
-    trace.verified = True
-    return coloring, trace
+    return colors
 
 
-def _unique_live_row_cell(p: WBCPartition, row: int, trace: ColoringTrace) -> int | None:
+def _unique_live_row_cell(p: WBCPartition, row: int) -> int | None:
     """The unique column j >= 3 with C'_{row,j} nonempty, or None."""
     live = [j for (i, j), cp in p.Cprime.items() if i == row and j >= 3 and cp]
     if len(live) > 1:
         raise CertificationError(
-            f"multiple live C' cells in row {row}: {live} (contradicts uniqueness)",
-            trace=trace,
+            f"multiple live C' cells in row {row}: {live} (contradicts uniqueness)"
         )
     return live[0] if live else None
 
 
 def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrace) -> None:
     omega = p.omega
-    j = _unique_live_row_cell(p, 1, trace)
-    ell = _unique_live_row_cell(p, 2, trace)
+    j = _unique_live_row_cell(p, 1)
+    ell = _unique_live_row_cell(p, 2)
     trace.j, trace.l = j, ell
     cp1 = p.Cprime[(1, j)] if j else 0
     cp2 = p.Cprime[(2, ell)] if ell else 0
@@ -244,8 +251,8 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
                     trace)
     elif len(shared) >= 2:
         trace.case = "Case2.1"
-        comps1 = _clique_components(g, cp1, f"component of C'_(1,{j})", trace)
-        comps2 = _clique_components(g, cp2, f"component of C'_(2,{ell})", trace)
+        comps1 = _clique_components(g, cp1, f"component of C'_(1,{j})")
+        comps2 = _clique_components(g, cp2, f"component of C'_(2,{ell})")
         s_comp = max(comps1, key=lambda m: (m.bit_count(), -(m & -m)))
         t_comp = max(comps2, key=lambda m: (m.bit_count(), -(m & -m)))
         trace.S = tuple(bits(s_comp))
@@ -253,9 +260,7 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
         na_s = p.na_positions(s_comp)
         na_t = p.na_positions(t_comp)
         if na_s & na_t:
-            raise CertificationError(
-                "N_A(S) and N_A(T) intersect in Case 2.1", trace=trace
-            )
+            raise CertificationError("N_A(S) and N_A(T) intersect in Case 2.1")
         pool_s = sorted(na_t) + sorted(shared)
         used_s = _assign_pool(colors, s_comp, pool_s, "S from N_A(T)+shared", trace)
         pool_t = sorted(na_s) + sorted(shared - set(used_s))
@@ -271,7 +276,7 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
         _color_cell(g, colors, cp2, sorted(d2), f"C'_(2,{ell})",
                     f"C'_(2,{ell}) from D(2,{ell})", trace)
         pool1 = sorted(d1 - shared) + [omega + 1]
-        for comp in _clique_components(g, cp1, f"component of C'_(1,{j})", trace):
+        for comp in _clique_components(g, cp1, f"component of C'_(1,{j})"):
             used = _assign_pool(colors, comp, pool1, f"C'_(1,{j}) from D minus shared + w+1", trace)
             if omega + 1 in used:
                 u_vertices.append(list(bits(comp))[used.index(omega + 1)])
@@ -291,7 +296,7 @@ def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrac
     c12 = p.C.get((1, 2), 0)
     if not c12:
         return
-    comps = _clique_components(g, c12, "component of C_{1,2}", trace)
+    comps = _clique_components(g, c12, "component of C_{1,2}")
     wc = max(comp.bit_count() for comp in comps)
     upper_pool = list(range(omega + 2, 2 * omega + 1))
     if wc <= omega - 1:
@@ -309,8 +314,7 @@ def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrac
                 z = next((v for v in bits(comp) if not g.adj[v] & u_set), None)
                 if z is None:
                     raise CertificationError(
-                        "no vertex of a full C_{1,2} component avoids all u_i",
-                        trace=trace,
+                        "no vertex of a full C_{1,2} component avoids all u_i"
                     )
                 z_list.append(z)
                 _assign_pool(colors, comp & ~(1 << z), upper_pool,
@@ -357,10 +361,10 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
         for v, c in piece_colors.items():
             colors[v] = c + offset
         offset += max(piece_colors.values())
-    for comp in _clique_components(g, c12, "C_{1,2} component", None):
+    for comp in _clique_components(g, c12, "C_{1,2} component"):
         for i, v in enumerate(bits(comp)):
             colors[v] = offset + 1 + i
 
     # colors are contiguous (each piece uses 1..k, C_{1,2} takes the next
     # ones), so the bound reads the same before and after normalizing
-    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2", None).normalize(), omega
+    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2").normalize(), omega

@@ -1,4 +1,4 @@
-"""Exact combinatorial oracles: maximum clique, independence number, chromatic number.
+"""Exact combinatorial oracles: maximum clique and chromatic number.
 
 All solvers are exact and deterministic in their returned values; they are
 sized for the desk-scale instances this package cares about (n <= 64 for the
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Coloring, Graph, bits, complement
+from .graphs import Coloring, Graph, bits
 
 
 class SizeGuardError(ValueError):
@@ -47,11 +47,6 @@ def _greedy_color_bound(g: Graph, cand: int) -> int:
             avail &= ~g.adj[v] & ~(1 << v)
             remaining &= ~(1 << v)
     return classes
-
-
-def clique_number(g: Graph) -> int:
-    """Exact clique number."""
-    return max_clique(g).omega
 
 
 def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
@@ -86,14 +81,14 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
     return CliqueResult(best, witness)
 
 
-def independence_number(g: Graph) -> int:
-    return clique_number(complement(g))
-
-
 def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     """DSATUR-ordered backtracking k-colorability decision.
 
     `clique` vertices are precolored 1..|clique| to break color symmetry.
+    Each step colours the uncoloured vertex with the most forbidden colours,
+    ties broken by most uncoloured neighbours, then by lowest index. It tries
+    its allowed colours ascending, up to one above the highest used so far,
+    and backtracks as soon as some neighbour has all k colours forbidden.
     Returns a proper coloring (1-based list) or None.
     """
     if len(clique) > k:
@@ -102,14 +97,13 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     colors = [0] * n
     # forbidden[v] = bitmask of colors (bit c-1) already on neighbors of v
     forbidden = [0] * n
+    every = (1 << k) - 1
     uncolored = g.full_mask
-    max_used = 0
     for i, v in enumerate(clique):
         colors[v] = i + 1
         uncolored &= ~(1 << v)
         for u in bits(g.adj[v]):
             forbidden[u] |= 1 << i
-        max_used = max(max_used, i + 1)
 
     def pick() -> int:
         best_v = -1
@@ -128,8 +122,6 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
         v = pick()
         limit = min(k, max_used + 1)
         avail = ~forbidden[v] & ((1 << limit) - 1)
-        if not avail:
-            return False
         uncolored &= ~(1 << v)
         for c in bits(avail):
             colors[v] = c + 1
@@ -139,10 +131,8 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
                 if not forbidden[u] >> c & 1:
                     forbidden[u] |= 1 << c
                     touched.append(u)
-                    if forbidden[u].bit_count() >= k:
-                        # u would have no color left only if all k are forbidden
-                        if forbidden[u] == (1 << k) - 1:
-                            ok = False
+                    if forbidden[u] == every:
+                        ok = False
             if ok and solve(max(max_used, c + 1)):
                 return True
             for u in touched:
@@ -151,7 +141,7 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
         uncolored |= 1 << v
         return False
 
-    if solve(max_used):
+    if solve(len(clique)):
         return colors
     return None
 
@@ -264,10 +254,11 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
     """Exact chromatic number with an optimal coloring witness.
 
     Refuses instances larger than `max_n`, whatever their structure. When
-    alpha(G) <= 2 (an O(n^2) test), chi is n minus a maximum matching of the
-    complement (O(n^3)): matched pairs share a colour, numbered in order of
-    first occurrence. Otherwise: iterative deepening on k from the clique
-    lower bound, DSATUR backtracking with max-clique symmetry breaking.
+    alpha(G) <= 2 (an O(n^2) test), a maximum matching of the complement
+    (O(n^3)) gives the witness: matched pairs share a colour, and chi is the
+    number of colours. Otherwise: iterative deepening on k from the clique
+    lower bound, DSATUR backtracking with max-clique symmetry breaking. Either
+    witness is numbered 1..chi in order of first occurrence.
     """
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
@@ -275,15 +266,11 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
         return ChiResult(0, Coloring(()))
     co = _alpha2_complement(g)
     if co is not None:
-        colors = [0] * g.n
-        k = 0
-        for v, u in enumerate(_max_matching(g.n, co)):
-            if 0 <= u < v:
-                colors[v] = colors[u]
-            else:
-                k += 1
-                colors[v] = k
-        return ChiResult(k, Coloring(tuple(colors)))
+        mate = _max_matching(g.n, co)
+        # a matched pair takes the label of its lower end, a free vertex its own
+        labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
+        witness = Coloring(tuple(labels)).normalize()
+        return ChiResult(witness.num_colors, witness)
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:

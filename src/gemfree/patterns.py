@@ -121,13 +121,15 @@ def find_induced(
     assignment = [0] * p.n
 
     def place(i: int, used: int) -> bool:
+        if i == p.n:
+            return True
         cand = free & ~used
         for j in range(i):
             row = host.adj[assignment[j]]
             cand &= row if p.adj[i] >> j & 1 else ~row
         for v in bits(cand):
             assignment[i] = v
-            if i + 1 == p.n or place(i + 1, used | (1 << v)):
+            if place(i + 1, used | (1 << v)):
                 return True
         return False
 

@@ -6,6 +6,7 @@ module; each criterion returns a structured result with the measured values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -25,7 +26,7 @@ from .generators import (
 )
 from .graphs import Graph, bits, build_graph
 from .partition import partition_for, run_all_checks
-from .patterns import NAMED_PATTERNS, find_induced, is_class_member
+from .patterns import NAMED_PATTERNS, cycle_graph, find_induced, is_class_member
 
 
 @dataclass
@@ -89,8 +90,6 @@ def criterion_2_schlafli() -> CriterionResult:
 
 
 def criterion_3_expansions() -> CriterionResult:
-    from .patterns import cycle_graph
-
     rows = []
     ok = True
     for m in (1, 2, 3):
@@ -178,43 +177,28 @@ def criterion_6_lemma_suite(seed: int = 0, size_budget: int = 200) -> CriterionR
                        "failures": failures})
 
 
-def _brute_force_contains(host: Graph, pattern_masks: set[tuple[int, int]],
-                          k: int) -> bool:
+def _pair_code(g: Graph, verts: tuple[int, ...]) -> int:
+    """Bitmask over the pairs (a, b), a < b, of positions in `verts`, in
+    lexicographic order: the bit of a pair is set iff its vertices are adjacent."""
+    code = 0
+    for bit, (a, b) in enumerate(itertools.combinations(verts, 2)):
+        if g.has_edge(a, b):
+            code |= 1 << bit
+    return code
+
+
+def _brute_force_contains(host: Graph, pattern_masks: set[int], k: int) -> bool:
     """Subset-enumeration oracle: does any k-subset induce the pattern?
 
-    `pattern_masks` is the set of (edge-bitmask over ordered pairs) encodings
-    of every labeled graph on k vertices isomorphic to the pattern.
+    `pattern_masks` is the set of `_pair_code` encodings of every labeled
+    graph on k vertices isomorphic to the pattern.
     """
-    import itertools
-
-    for subset in itertools.combinations(range(host.n), k):
-        code = 0
-        bit = 0
-        for ai in range(k):
-            for bi in range(ai + 1, k):
-                if host.has_edge(subset[ai], subset[bi]):
-                    code |= 1 << bit
-                bit += 1
-        if code in pattern_masks:
-            return True
-    return False
+    return any(_pair_code(host, subset) in pattern_masks
+               for subset in itertools.combinations(range(host.n), k))
 
 
 def _labeled_codes(pattern: Graph) -> set[int]:
-    import itertools
-
-    k = pattern.n
-    codes = set()
-    for perm in itertools.permutations(range(k)):
-        code = 0
-        bit = 0
-        for ai in range(k):
-            for bi in range(ai + 1, k):
-                if pattern.has_edge(perm[ai], perm[bi]):
-                    code |= 1 << bit
-                bit += 1
-        codes.add(code)
-    return codes
+    return {_pair_code(pattern, perm) for perm in itertools.permutations(range(pattern.n))}
 
 
 ORACLE_PATTERNS = ("p3", "p4", "2k2", "p3up2", "gem", "diamond", "c4")

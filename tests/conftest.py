@@ -55,6 +55,14 @@ def dsatur_chi(g):
     return k
 
 
+def case21_graph():
+    """omega=4 member engineered to hit the shared-pool case (|D1 n D2| >= 2)."""
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    edges += [(4, 5), (6, 7), (4, 1), (5, 1), (6, 0), (7, 0)]
+    edges += [(x, y) for x in (4, 5) for y in (6, 7)]
+    return build_graph(8, edges, "case21")
+
+
 def to_nx(g):
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

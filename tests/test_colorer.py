@@ -31,15 +31,7 @@ from gemfree.patterns import (
     path_graph,
 )
 
-from conftest import delete_vertex, sampled_members, small_graphs
-
-
-def case21_graph():
-    """omega=4 member engineered to hit the shared-pool case (|D1 n D2| >= 2)."""
-    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    edges += [(4, 5), (6, 7), (4, 1), (5, 1), (6, 0), (7, 0)]
-    edges += [(x, y) for x in (4, 5) for y in (6, 7)]
-    return build_graph(8, edges, "case21")
+from conftest import case21_graph, delete_vertex, sampled_members, small_graphs
 
 
 def test_verify_proper_conflict():
@@ -297,9 +289,17 @@ def test_uncolored_vertex_is_certification_failure(algorithm, colorer, step, stu
     # a construction step that leaves C_{1,2} at color 0 must end in exit 3
     monkeypatch.setattr(coloring, step, stub)
     g = schlafli_complement()
-    with pytest.raises(CertificationError, match="coloring not total"):
+    with pytest.raises(CertificationError, match="coloring not total") as failure:
         colorer(g)
+    # two-omega carries its trace as it stood at the failure, three-omega none
+    trace = failure.value.trace
+    if algorithm == "two-omega":
+        assert (trace.case, trace.verified) == ("Case2.2", False)
+    else:
+        assert trace is None
     path = tmp_path / "schlafli.col"
     path.write_text(serialize(g, "dimacs"))
     assert main(["color", str(path), "--algorithm", algorithm]) == 3
-    assert json.loads(capsys.readouterr().out)["message"] == "coloring not total"
+    report = json.loads(capsys.readouterr().out)
+    assert report["message"] == "coloring not total"
+    assert report["trace"] == (trace.to_json_dict() if trace else None)

@@ -12,8 +12,6 @@ from gemfree.exact import (
     _max_matching,
     chi_alpha2_shortcut,
     chromatic_number,
-    clique_number,
-    independence_number,
     max_clique,
 )
 from gemfree.generators import (
@@ -69,10 +67,10 @@ def test_max_clique_witness_is_maximal_clique(g, mask):
 
 
 def test_independence_numbers():
-    assert independence_number(build_graph(6, [])) == 6
-    assert independence_number(cycle_graph(5)) == 2
+    assert max_clique(complement(build_graph(6, []))).omega == 6
+    assert max_clique(complement(cycle_graph(5))).omega == 2
     g = complete_expansion(ExpansionSpec(cycle_graph(5), (2,) * 5))
-    assert independence_number(g) == 2
+    assert max_clique(complement(g)).omega == 2
 
 
 def test_chromatic_witnesses():
@@ -118,7 +116,7 @@ def test_alpha2_shortcut_refuses():
 @given(small_graphs(max_n=7))
 def test_omega_le_chi_le_n(g):
     chi = chromatic_number(g).chi
-    assert clique_number(g) <= chi <= max(g.n, 1) or g.n == 0
+    assert max_clique(g).omega <= chi <= max(g.n, 1) or g.n == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -131,7 +129,7 @@ def test_chi_monotone_under_induced(g):
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(min_n=1, max_n=7))
 def test_shortcut_agrees_with_exact_when_applicable(g):
-    if independence_number(g) <= 2:
+    if max_clique(complement(g)).omega <= 2:
         assert chi_alpha2_shortcut(g) == chromatic_number(g).chi == dsatur_chi(g)
 
 
@@ -176,7 +174,7 @@ def test_chi_alpha2_matches_dsatur_and_exhaustive(g):
 @given(st.one_of(small_graphs(min_n=0, max_n=9), alpha2_graphs(max_n=9)))
 def test_alpha2_test_agrees_with_independence_number(g):
     co = _alpha2_complement(g)
-    assert (co is not None) == (independence_number(g) <= 2)
+    assert (co is not None) == (max_clique(complement(g)).omega <= 2)
     assert co is None or tuple(co) == complement(g).adj
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gemfree.generators
-from gemfree.exact import chromatic_number, independence_number, max_clique
+from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
     SamplingError,
@@ -18,7 +18,7 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
-from gemfree.graphs import MAX_VERTICES, GraphError, mask_of
+from gemfree.graphs import MAX_VERTICES, GraphError, complement, mask_of
 from gemfree.patterns import (
     complete_graph,
     cycle_graph,
@@ -44,7 +44,7 @@ def test_expansion_counts_and_bags():
     g = complete_expansion(spec)
     assert g.n == 10 and g.num_edges == 25
     assert max_clique(g).omega == 4
-    assert independence_number(g) == 2
+    assert max_clique(complement(g)).omega == 2
     bags = expansion_bags(spec)
     assert bags[0] == [0, 1] and bags[4] == [8, 9]
     # cross-bag completeness exactly on base edges
@@ -88,7 +88,7 @@ def test_schlafli_complement_parameters():
     srg, params = check_srg(g)
     assert srg and params == (27, 10, 1, 5)
     assert max_clique(g).omega == 3
-    assert independence_number(g) == 6
+    assert max_clique(complement(g)).omega == 6
     assert is_class_member(g)[0]
 
 

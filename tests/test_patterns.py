@@ -2,7 +2,7 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gemfree.patterns
@@ -112,20 +112,23 @@ def _brute_contains(host, pat):
                for emb in itertools.permutations(range(host.n), pat.n))
 
 
+EMPTY = build_graph(0, [], "K0")  # an induced subgraph of every graph, witness ()
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(min_n=2, max_n=7), st.integers(min_value=0, max_value=127))
+@example(build_graph(2, [(0, 1)]), 0)  # an empty mask
 def test_find_induced_matches_bruteforce(g, mask):
-    for name in ("p3", "p4", "2k2", "c4", "diamond"):
-        pat = NAMED_PATTERNS[name]
-        assert (find_induced(g, name) is not None) == _brute_contains(g, pat)
+    for pat in (*(NAMED_PATTERNS[name] for name in ("p3", "p4", "2k2", "c4", "diamond")), EMPTY):
+        assert (find_induced(g, pat) is not None) == _brute_contains(g, pat)
     # inside a vertex mask: the first embedding in lexicographic order
     mask &= g.full_mask
-    for name in ("p3", "p4", "p3up2", "gem"):
-        pat = pattern(name)
+    for pat in (*map(pattern, ("p3", "p4", "p3up2", "gem")), pattern(EMPTY)):
         first = next((emb for emb in itertools.permutations(bits(mask), pat.graph.n)
-                      if PatternWitness(name, emb).verify(g, pat)), None)
-        w = find_induced(g, name, mask)
+                      if PatternWitness(pat.name, emb).verify(g, pat)), None)
+        w = find_induced(g, pat, mask)
         assert (w.embedding if w else None) == first
+    assert is_class_member(g, (EMPTY,)) == (False, PatternWitness("K0", ()))
 
 
 @settings(max_examples=30, deadline=None)
