@@ -11,7 +11,7 @@ import argparse
 import json
 
 from gemfree.exact import chromatic_number, max_clique
-from gemfree.generators import class_corpus, random_class_member, SamplingError
+from gemfree.generators import random_class_member, SamplingError
 from gemfree.graph_io import to_json_graph
 
 

@@ -96,7 +96,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         verified = True
     else:
         if args.algorithm == "greedy":
-            coloring = greedy_coloring(g, list(range(g.n)))
+            coloring = greedy_coloring(g)
         else:
             coloring = chromatic_number(g, max_n=args.max_n).witness
         verified = verify_proper(g, coloring)[0]

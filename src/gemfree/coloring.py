@@ -89,12 +89,10 @@ def verify_proper(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int] |
     return True, None
 
 
-def greedy_coloring(g: Graph, order: list[int]) -> Coloring:
-    """First-fit along the given vertex order."""
-    if sorted(order) != list(range(g.n)):
-        raise GraphError("order is not a permutation of V(G)")
+def greedy_coloring(g: Graph) -> Coloring:
+    """First-fit in vertex order."""
     colors = [0] * g.n
-    for v in order:
+    for v in range(g.n):
         used = {colors[u] for u in bits(g.adj[v]) if colors[u]}
         c = 1
         while c in used:
@@ -105,10 +103,10 @@ def greedy_coloring(g: Graph, order: list[int]) -> Coloring:
 
 def color_cograph(g: Graph) -> Coloring:
     """Optimal coloring of a P4-free graph via its cotree (see `cograph_coloring`)."""
-    assignment = cograph_coloring(g, g.full_mask)
-    if assignment is None:
+    colors = [0] * g.n
+    if cograph_coloring(g, g.full_mask, colors) is None:
         raise ClassViolationError(find_induced(g, "p4"))
-    return Coloring(tuple(assignment[v] for v in range(g.n)))
+    return Coloring(tuple(colors))
 
 
 def _member_partition(g: Graph) -> WBCPartition:
@@ -353,14 +351,10 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
     colors = [0] * g.n
     offset = 0
     for label, piece in (("piece1", piece1), ("piece2", piece2)):
-        if not piece:
-            continue
-        piece_colors = cograph_coloring(g, piece)
-        if piece_colors is None:
+        used = cograph_coloring(g, piece, colors, offset)
+        if used is None:
             raise CertificationError(f"{label} is not P4-free (contradicts the construction)")
-        for v, c in piece_colors.items():
-            colors[v] = c + offset
-        offset += max(piece_colors.values())
+        offset += used
     for comp in _clique_components(g, c12, "C_{1,2} component"):
         for i, v in enumerate(bits(comp)):
             colors[v] = offset + 1 + i

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Coloring, Graph, bits
+from .graphs import Coloring, Graph, bits, first_occurrence_colors
 
 
 class SizeGuardError(ValueError):
@@ -269,14 +269,14 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
         mate = _max_matching(g.n, co)
         # a matched pair takes the label of its lower end, a free vertex its own
         labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
-        witness = Coloring(tuple(labels)).normalize()
+        witness = Coloring(first_occurrence_colors(labels))
         return ChiResult(witness.num_colors, witness)
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:
         colors = _k_colorable(g, k, clique)
         if colors is not None:
-            return ChiResult(k, Coloring(tuple(colors)).normalize())
+            return ChiResult(k, Coloring(first_occurrence_colors(colors)))
         k += 1
 
 

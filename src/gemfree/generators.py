@@ -158,7 +158,8 @@ REJECTION_ATTEMPTS_PER_P = 200
 STRATEGIES = ("reject", "expand", "prune")
 
 
-def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+def gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p): each pair u < v, in ascending order, is an edge with probability p."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)
 
@@ -174,7 +175,7 @@ def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
             raise GraphError("rejection strategy limited to n <= 16")
         for p in REJECTION_P_GRID:
             for _ in range(REJECTION_ATTEMPTS_PER_P):
-                g = _gnp(n, p, rng)
+                g = gnp(n, p, rng)
                 if is_class_member(g)[0]:
                     return g
         raise SamplingError(f"no member found for n={n}, seed={seed}")

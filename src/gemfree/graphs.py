@@ -8,7 +8,7 @@ sizes this package targets (n <= 512).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 512
 
@@ -114,16 +114,6 @@ class Graph:
                 return False
         return True
 
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Image graph under vertex map v -> perm[v]."""
-        adj = [0] * self.n
-        for v in range(self.n):
-            row = 0
-            for u in bits(self.adj[v]):
-                row |= 1 << perm[u]
-            adj[perm[v]] = row
-        return Graph(self.n, tuple(adj), self.name)
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
     """Graph from an edge list; duplicates collapse, endpoints validated."""
@@ -158,33 +148,43 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, tuple(adj))
 
 
-def cograph_coloring(g: Graph, mask: int) -> dict[int, int] | None:
-    """Optimal coloring of <mask> by its cotree, or None if <mask> has an induced P4.
+def cograph_coloring(g: Graph, mask: int, colors: list[int], base: int = 0) -> int | None:
+    """Optimal coloring of <mask> by its cotree, written into the caller's `colors`.
 
-    A P4-free graph on two or more vertices is disconnected or co-disconnected
+    The vertices of <mask> take colors base+1..base+k; the return value is k
+    (0 for an empty mask), or None if <mask> has an induced P4. A P4-free
+    graph on two or more vertices is disconnected or co-disconnected
     (Seinsche 1974), so the walk meets a connected, co-connected node exactly
-    when <mask> has a P4. Components reuse colors; the co-components of a join
-    take disjoint color ranges.
+    when <mask> has a P4. Components reuse colors; the co-components of a
+    join take disjoint color ranges.
     """
     if not mask & (mask - 1):
-        return {mask.bit_length() - 1: 1} if mask else {}
+        if not mask:
+            return 0
+        colors[mask.bit_length() - 1] = base + 1
+        return 1
     comps = _components(g.adj, mask, 0)
     is_join = len(comps) == 1
     if is_join:
         comps = _components(g.adj, mask, -1)
         if len(comps) == 1:
             return None
-    out: dict[int, int] = {}
-    offset = 0
+    used = 0
     for comp in comps:
-        sub = cograph_coloring(g, comp)
-        if sub is None:
+        k = cograph_coloring(g, comp, colors, base + used if is_join else base)
+        if k is None:
             return None
-        for v, c in sub.items():
-            out[v] = c + offset
-        if is_join:
-            offset += max(sub.values())
-    return out
+        used = used + k if is_join else max(used, k)
+    return used
+
+
+def first_occurrence_colors(colors: Sequence[int]) -> tuple[int, ...]:
+    """`colors` renumbered 1..k in order of first occurrence."""
+    label: dict[int, int] = {}
+    for c in colors:
+        if c not in label:
+            label[c] = len(label) + 1
+    return tuple([label[c] for c in colors])
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ class Coloring:
     num_colors: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if any(c < 1 for c in self.colors):
+        if min(self.colors, default=1) < 1:
             raise GraphError("colors must be positive integers")
         object.__setattr__(self, "num_colors", max(self.colors, default=0))
 
@@ -205,10 +205,4 @@ class Coloring:
 
     def normalize(self) -> "Coloring":
         """Renumber colors 1..k in order of first occurrence."""
-        seen: dict[int, int] = {}
-        out = []
-        for c in self.colors:
-            if c not in seen:
-                seen[c] = len(seen) + 1
-            out.append(seen[c])
-        return Coloring(tuple(out))
+        return Coloring(first_occurrence_colors(self.colors))

@@ -251,4 +251,4 @@ def is_p3_free(g: Graph, within: int | None = None) -> bool:
 def is_p4_free(g: Graph, within: int | None = None) -> bool:
     """True iff <within> (default: all of g) has no induced P4: its cotree walk
     finds no prime node (see `cograph_coloring`)."""
-    return cograph_coloring(g, g.full_mask if within is None else within) is not None
+    return cograph_coloring(g, g.full_mask if within is None else within, [0] * g.n) is not None

@@ -20,11 +20,12 @@ from .generators import (
     check_srg,
     class_corpus,
     complete_expansion,
+    gnp,
     groetzsch_graph,
     mycielskian,
     schlafli_complement,
 )
-from .graphs import Graph, bits, build_graph
+from .graphs import Graph, bits
 from .partition import partition_for, run_all_checks
 from .patterns import NAMED_PATTERNS, cycle_graph, find_induced, is_class_member
 
@@ -214,16 +215,14 @@ def criterion_7_pattern_oracle(seed: int = 0, size_budget: int = 500) -> Criteri
     mismatches = []
     for i in range(count):
         n = rng.randint(3, 9)
-        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = build_graph(n, edges)
+        g = gnp(n, rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)), rng)
         for name in ORACLE_PATTERNS:
             pat = NAMED_PATTERNS[name]
             fast = find_induced(g, name) is not None
             brute = _brute_force_contains(g, codes[name], pat.n)
             if fast != brute:
                 mismatches.append({"i": i, "pattern": name, "n": n,
-                                   "edges": edges, "fast": fast, "brute": brute})
+                                   "edges": g.edges(), "fast": fast, "brute": brute})
     return CriterionResult(
         7, "find_induced agrees with subset-enumeration oracle on >=500 graphs, n<=9",
         not mismatches, {"graphs": count, "mismatches": mismatches})
@@ -261,21 +260,17 @@ def criterion_8_exact_oracle(seed: int = 0, size_budget: int = 300) -> Criterion
     mismatches = []
     for i in range(count):
         n = rng.randint(1, 7)
-        p = rng.choice((0.2, 0.4, 0.6, 0.8))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = build_graph(n, edges)
+        g = gnp(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng)
         fast = chromatic_number(g).chi
         brute = _exhaustive_chi(g)
         if fast != brute:
-            mismatches.append({"i": i, "n": n, "edges": edges, "fast": fast, "brute": brute})
+            mismatches.append({"i": i, "n": n, "edges": g.edges(), "fast": fast, "brute": brute})
     myc_fail = []
     for i in range(20):
         n = rng.randint(2, 8)
-        p = rng.choice((0.3, 0.5, 0.7))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = build_graph(n, edges)
+        g = gnp(n, rng.choice((0.3, 0.5, 0.7)), rng)
         if chromatic_number(mycielskian(g)).chi != chromatic_number(g).chi + 1:
-            myc_fail.append({"i": i, "n": n, "edges": edges})
+            myc_fail.append({"i": i, "n": n, "edges": g.edges()})
     return CriterionResult(
         8, "chromatic_number matches exhaustive enumeration (n<=7) and chi(mu(G))=chi(G)+1",
         not mismatches and not myc_fail,

@@ -70,6 +70,17 @@ def to_nx(g):
     return h
 
 
+def relabel(g, perm):
+    """Image of g under the vertex map v -> perm[v]."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in bits(g.adj[v]):
+            row |= 1 << perm[u]
+        adj[perm[v]] = row
+    return Graph(g.n, tuple(adj), g.name)
+
+
 def delete_vertex(g, v):
     """G - v, the vertices above v moving down by one."""
     return build_graph(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])

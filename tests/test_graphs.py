@@ -2,7 +2,8 @@ import tracemalloc
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemfree.generators import ExpansionSpec, complete_expansion, named_graph, random_class_member
 from gemfree.graph_io import parse
@@ -11,6 +12,7 @@ from gemfree.graphs import (
     GraphError,
     bits,
     build_graph,
+    cograph_coloring,
     complement,
     disjoint_union,
     join,
@@ -133,6 +135,43 @@ def test_coloring_num_colors_is_largest_color():
 def test_coloring_rejects_nonpositive():
     with pytest.raises(GraphError):
         Coloring((0, 1))
+
+
+def _dict_cograph_coloring(g, mask):
+    """Reference: the cotree colouring built as a fresh {vertex: colour} dict
+    at every node, merged upwards."""
+    if not mask & (mask - 1):
+        return {mask.bit_length() - 1: 1} if mask else {}
+    comps = g.components(mask)
+    is_join = len(comps) == 1
+    if is_join:
+        comps = complement(g).components(mask)
+        if len(comps) == 1:
+            return None
+    out = {}
+    offset = 0
+    for comp in comps:
+        sub = _dict_cograph_coloring(g, comp)
+        if sub is None:
+            return None
+        for v, c in sub.items():
+            out[v] = c + offset
+        if is_join:
+            offset += max(sub.values())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(min_n=1, max_n=9), st.data(), st.integers(0, 5))
+def test_cograph_coloring_in_place_matches_dict_reference(g, data, base):
+    mask = data.draw(st.integers(0, g.full_mask))
+    ref = _dict_cograph_coloring(g, mask)
+    colors = [-1] * g.n
+    used = cograph_coloring(g, mask, colors, base)
+    assert (used is None) == (ref is None)
+    if ref is not None:
+        assert used == max(ref.values(), default=0)
+        assert colors == [ref[v] + base if mask >> v & 1 else -1 for v in range(g.n)]
 
 
 def test_bits_and_masks_roundtrip():

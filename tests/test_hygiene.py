@@ -1,8 +1,8 @@
 """Static hygiene of the package source.
 
-No module imports a name it never uses; `__init__.py` is exempt because its
-imports are the package's re-exports, and each of those has a caller in the
-package or is named in README.md. No module copies an induced subgraph:
+No module or script imports a name it never uses; `__init__.py` is exempt
+because its imports are the package's re-exports, and each of those has a
+caller in the package or is named in README.md. No module copies an induced subgraph:
 searches run inside vertex masks of the host instead. Only `partition.py`
 lists every lex pair: the partition maps hold the non-empty cells, and the
 other modules walk those. No module imports networkx, a test dependency
@@ -21,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gemfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,7 +37,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
