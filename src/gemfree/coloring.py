@@ -9,9 +9,9 @@ construction via two cograph pieces. Both refuse non-members with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
-from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, mask_of
+from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors
 from .partition import WBCPartition, partition_for
 from .patterns import PatternWitness, find_induced, is_class_member
 
@@ -49,7 +49,6 @@ class ColoringTrace:
     shared_positions: tuple[int, ...] = ()
     pool_assignments: list[dict[str, Any]] = field(default_factory=list)
     u_vertices: tuple[int, ...] = ()
-    z_vertices: tuple[int, ...] = ()
     verified: bool = False
 
     def record_pool(self, label: str, vertices: list[int], colors: list[int]) -> None:
@@ -68,7 +67,7 @@ class ColoringTrace:
             "shared_positions": list(self.shared_positions),
             "pool_assignments": self.pool_assignments,
             "u_vertices": list(self.u_vertices),
-            "z_vertices": list(self.z_vertices),
+            "z_vertices": [],  # kept in the JSON; always empty, see _color_c12
             "verified": self.verified,
         }
 
@@ -120,7 +119,7 @@ def _member_partition(g: Graph) -> WBCPartition:
     return partition_for(g)
 
 
-def _certify(g: Graph, colors: list[int], bound: int, bound_name: str) -> Coloring:
+def _certify(g: Graph, colors: Sequence[int], bound: int, bound_name: str) -> Coloring:
     """Shared colorer tail: totality, the color bound, then properness."""
     if 0 in colors:
         raise CertificationError("coloring not total")
@@ -198,8 +197,6 @@ def _color_cases(g: Graph, p: WBCPartition, trace: ColoringTrace) -> list[int]:
 
     if omega <= 2:
         trace.case = "omega<=2"
-        if set(p.C) - {(1, 2)}:
-            raise CertificationError("cells outside C_{1,2} despite omega <= 2")
         _color_cell(g, colors, p.C.get((1, 2), 0), list(range(omega + 1, 2 * omega + 1)),
                     "C_{1,2}", "C_{1,2}", trace)
     else:
@@ -249,26 +246,24 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
                     trace)
     elif len(shared) >= 2:
         trace.case = "Case2.1"
-        comps1 = _clique_components(g, cp1, f"component of C'_(1,{j})")
-        comps2 = _clique_components(g, cp2, f"component of C'_(2,{ell})")
-        s_comp = max(comps1, key=lambda m: (m.bit_count(), -(m & -m)))
-        t_comp = max(comps2, key=lambda m: (m.bit_count(), -(m & -m)))
-        trace.S = tuple(bits(s_comp))
-        trace.T = tuple(bits(t_comp))
-        na_s = p.na_positions(s_comp)
-        na_t = p.na_positions(t_comp)
+        # S = C'_(1,j) and T = C'_(2,l), as each cell is one clique. Let s, t
+        # be shared positions: v_s and v_t see neither cell. A vertex y of
+        # C'_(2,l) sees v_1, so y-v_1-v_s is a P3, and y sees an end of every
+        # edge of C'_(1,j), else a P3 u P2. Two components of C'_(1,j), each
+        # with an edge, would then give a P3 a-y-a' beside the edge v_s v_t.
+        # C'_(2,l) likewise, as C'_(1,j) sees v_2; cell components are cliques.
+        if not (g.is_clique(cp1) and g.is_clique(cp2)):
+            raise CertificationError(f"C'_(1,{j}) or C'_(2,{ell}) is not a clique in Case 2.1")
+        trace.S = tuple(bits(cp1))
+        trace.T = tuple(bits(cp2))
+        na_s = p.na_positions(cp1)
+        na_t = p.na_positions(cp2)
         if na_s & na_t:
             raise CertificationError("N_A(S) and N_A(T) intersect in Case 2.1")
         pool_s = sorted(na_t) + sorted(shared)
-        used_s = _assign_pool(colors, s_comp, pool_s, "S from N_A(T)+shared", trace)
+        used_s = _assign_pool(colors, cp1, pool_s, "S from N_A(T)+shared", trace)
         pool_t = sorted(na_s) + sorted(shared - set(used_s))
-        used_t = _assign_pool(colors, t_comp, pool_t, "T from N_A(S)+shared", trace)
-        for comp in comps1:
-            if comp != s_comp:
-                _assign_pool(colors, comp, sorted(used_s), "C'_(1,j) reuse of S colors", trace)
-        for comp in comps2:
-            if comp != t_comp:
-                _assign_pool(colors, comp, sorted(used_t), "C'_(2,l) reuse of T colors", trace)
+        _assign_pool(colors, cp2, pool_t, "T from N_A(S)+shared", trace)
     else:
         trace.case = "Case2.2"
         _color_cell(g, colors, cp2, sorted(d2), f"C'_(2,{ell})",
@@ -295,32 +290,21 @@ def _color_c12(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTrac
     if not c12:
         return
     comps = _clique_components(g, c12, "component of C_{1,2}")
-    wc = max(comp.bit_count() for comp in comps)
-    upper_pool = list(range(omega + 2, 2 * omega + 1))
-    if wc <= omega - 1:
-        for comp in comps:
-            _assign_pool(colors, comp, upper_pool, "C_{1,2} (small)", trace)
-    elif (omega + 1) not in colors:
-        pool = list(range(omega + 1, 2 * omega + 1))
-        for comp in comps:
-            _assign_pool(colors, comp, pool, "C_{1,2} (w+1 free)", trace)
+    if max(comp.bit_count() for comp in comps) <= omega - 1:
+        pool, where = list(range(omega + 2, 2 * omega + 1)), "C_{1,2} (small)"
+    elif (omega + 1) in colors:
+        # No component has w vertices once w+1 is used. Only a vertex x of
+        # C'_(1,j), j >= 3, takes w+1; x has a neighbour y there, and both see
+        # v_2 and miss v_1. Let T be a component of w vertices; it misses v_1
+        # and v_2. x misses at most one vertex of T, else x-v_2-v_1 and an edge
+        # of T form a P3 u P2, and T + x is no clique, so x misses exactly one,
+        # t_x. So does y, and t_y != t_x, as (T - t_x) + x + y is no clique.
+        # For t in T - t_x - t_y, v_2-y-t-t_y is a P4 inside N(x): a gem.
+        raise CertificationError("a C_{1,2} component of omega vertices meets a used w+1")
     else:
-        u_set = mask_of(trace.u_vertices)
-        z_list = []
-        for comp in comps:
-            if comp.bit_count() == omega:
-                z = next((v for v in bits(comp) if not g.adj[v] & u_set), None)
-                if z is None:
-                    raise CertificationError(
-                        "no vertex of a full C_{1,2} component avoids all u_i"
-                    )
-                z_list.append(z)
-                _assign_pool(colors, comp & ~(1 << z), upper_pool,
-                             "C_{1,2} full component minus z", trace)
-                _color_all(colors, 1 << z, omega + 1, "z gets w+1", trace)
-            else:
-                _assign_pool(colors, comp, upper_pool, "C_{1,2} (small)", trace)
-        trace.z_vertices = tuple(z_list)
+        pool, where = list(range(omega + 1, 2 * omega + 1)), "C_{1,2} (w+1 free)"
+    for comp in comps:
+        _assign_pool(colors, comp, pool, where, trace)
 
 
 def color_three_omega(g: Graph) -> Coloring:
@@ -360,5 +344,5 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
             colors[v] = offset + 1 + i
 
     # colors are contiguous (each piece uses 1..k, C_{1,2} takes the next
-    # ones), so the bound reads the same before and after normalizing
-    return _certify(g, colors, max(3 * omega - 2, 1), "3*omega-2").normalize(), omega
+    # ones), so the bound reads the same before and after renumbering
+    return _certify(g, first_occurrence_colors(colors), max(3 * omega - 2, 1), "3*omega-2"), omega

@@ -73,7 +73,7 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
             if size + 1 + new.bit_count() > best:
                 if new:
                     expand(size + 1, clique | 1 << v, new)
-                elif size + 1 > best:
+                else:
                     best = size + 1
                     witness = clique | 1 << v
 
@@ -84,15 +84,14 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
 def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     """DSATUR-ordered backtracking k-colorability decision.
 
-    `clique` vertices are precolored 1..|clique| to break color symmetry.
+    `clique` vertices are precolored 1..|clique| to break color symmetry;
+    callers start k at |clique|.
     Each step colours the uncoloured vertex with the most forbidden colours,
     ties broken by most uncoloured neighbours, then by lowest index. It tries
     its allowed colours ascending, up to one above the highest used so far,
     and backtracks as soon as some neighbour has all k colours forbidden.
     Returns a proper coloring (1-based list) or None.
     """
-    if len(clique) > k:
-        return None
     n = g.n
     colors = [0] * n
     # forbidden[v] = bitmask of colors (bit c-1) already on neighbors of v
@@ -262,8 +261,6 @@ def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
     """
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
-    if g.n == 0:
-        return ChiResult(0, Coloring(()))
     co = _alpha2_complement(g)
     if co is not None:
         mate = _max_matching(g.n, co)

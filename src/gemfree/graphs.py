@@ -179,11 +179,11 @@ def cograph_coloring(g: Graph, mask: int, colors: list[int], base: int = 0) -> i
 
 
 def first_occurrence_colors(colors: Sequence[int]) -> tuple[int, ...]:
-    """`colors` renumbered 1..k in order of first occurrence."""
-    label: dict[int, int] = {}
+    """`colors` renumbered 1..k in order of first occurrence; 0 (uncoloured) stays 0."""
+    label = {0: 0}
     for c in colors:
         if c not in label:
-            label[c] = len(label) + 1
+            label[c] = len(label)
     return tuple([label[c] for c in colors])
 
 
@@ -202,7 +202,3 @@ class Coloring:
     @property
     def distinct_colors(self) -> int:
         return len(set(self.colors))
-
-    def normalize(self) -> "Coloring":
-        """Renumber colors 1..k in order of first occurrence."""
-        return Coloring(first_occurrence_colors(self.colors))

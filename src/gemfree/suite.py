@@ -98,7 +98,7 @@ def criterion_3_expansions() -> CriterionResult:
         omega = max_clique(g).omega
         expected_chi = math.ceil(5 * 2 * m / 4)
         chi_short = chi_alpha2_shortcut(g)
-        chi_exact = chromatic_number(g).chi if m <= 2 else None
+        chi_exact = _exhaustive_chi(g) if m <= 2 else None
         row_ok = omega == 2 * m and chi_short == expected_chi
         if chi_exact is not None:
             row_ok = row_ok and chi_exact == expected_chi

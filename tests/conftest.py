@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import assume
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gemfree.exact import _k_colorable, max_clique
 from gemfree.generators import STRATEGIES, SamplingError, random_class_member
 from gemfree.graphs import Graph, bits, build_graph, complement
+from gemfree.patterns import is_class_member
 
 
 @st.composite
@@ -61,6 +64,26 @@ def case21_graph():
     edges += [(4, 5), (6, 7), (4, 1), (5, 1), (6, 0), (7, 0)]
     edges += [(x, y) for x in (4, 5) for y in (6, 7)]
     return build_graph(8, edges, "case21")
+
+
+def template_members(clique, sides, draws, seed):
+    """The class members among `draws` seeded graphs: K_clique on 0..clique-1
+    plus 4-6 extra vertices, each adjacent to exactly one vertex of `sides`
+    and to no other clique vertex, the pairs of extra vertices edges with
+    p = 1/2. With clique 4 and sides (0, 1) the extra vertices fill C_{2,3}
+    and C_{1,3}, so both C' cells nonempty means Case 2.1; with clique 3 and
+    sides (1, 2) they fill C_{1,3} and C_{1,2}."""
+    rng = random.Random(seed)
+    members = []
+    for _ in range(draws):
+        n = clique + rng.randint(4, 6)
+        edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+        edges += [(v, rng.choice(sides)) for v in range(clique, n)]
+        edges += [(u, v) for u in range(clique, n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = build_graph(n, edges)
+        if is_class_member(g)[0]:
+            members.append(g)
+    return members
 
 
 def to_nx(g):

@@ -4,8 +4,6 @@ Budgets are asserted as stated; all tolerances are exact (these are
 combinatorial identities, not numerics).
 """
 
-import pytest
-
 from gemfree.suite import (
     criterion_1_groetzsch,
     criterion_2_schlafli,

@@ -182,6 +182,23 @@ def test_gen_random_rejects_empty_graph(strategy, capsys):
     assert main(["gen", "random", "--n", "0", "--strategy", strategy]) == 2
 
 
+@pytest.mark.parametrize("name,code", [("groetzsch", 0), ("gem", 1)])
+def test_check_human_prints_one_line_per_key(files, capsys, name, code):
+    code_json, out = run(capsys, "check", files[name])
+    assert code_json == code
+    human_code, human = run(capsys, "check", files[name], "--human")
+    assert human_code == code
+    assert human.splitlines() == [f"{k}: {v}" for k, v in json.loads(out).items()]
+
+
+def test_suite_human_size_budget_zero(capsys):
+    code, out = run(capsys, "suite", "--human", "--size-budget", "0")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "all passed"
+    statuses = [re.match(r"\[(\w+)\] criterion (\d+): ", line).groups() for line in lines[:-1]]
+    assert statuses == [("SKIP" if cid in "4578" else "PASS", cid) for cid in "12345678"]
+
+
 def test_suite_size_budget_zero(capsys):
     code, out = run(capsys, "suite", "--size-budget", "0")
     rep = json.loads(out)

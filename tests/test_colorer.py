@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -10,6 +11,7 @@ from gemfree.cli import main
 from gemfree.coloring import (
     CertificationError,
     ClassViolationError,
+    ColoringTrace,
     color_cograph,
     color_three_omega,
     color_two_omega,
@@ -19,7 +21,7 @@ from gemfree.coloring import (
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
 from gemfree.graph_io import serialize
-from gemfree.graphs import Coloring, GraphError, bits, build_graph, join, mask_of
+from gemfree.graphs import Coloring, GraphError, bits, build_graph, join
 from gemfree.partition import partition_for, run_all_checks
 from gemfree.patterns import (
     NAMED_PATTERNS,
@@ -31,7 +33,14 @@ from gemfree.patterns import (
     path_graph,
 )
 
-from conftest import case21_graph, delete_vertex, relabel, sampled_members, small_graphs
+from conftest import (
+    case21_graph,
+    delete_vertex,
+    relabel,
+    sampled_members,
+    small_graphs,
+    template_members,
+)
 
 
 def test_verify_proper_conflict():
@@ -193,10 +202,91 @@ def test_case22_trace_validity():
     omega = len(trace.A)
     for u in trace.u_vertices:
         assert col.colors[u] == omega + 1
-    u_mask = mask_of(trace.u_vertices)
-    for z in trace.z_vertices:
-        assert col.colors[z] == omega + 1
-        assert not g.adj[z] & u_mask  # defining bracket-emptiness of z
+    # a used w+1 never meets a C_{1,2} component of omega vertices, so the
+    # JSON's z_vertices stays empty
+    assert trace.to_json_dict()["z_vertices"] == []
+
+
+def _case21_cells(p):
+    """C'_(1,j) and C'_(2,l) if the partition `p` is in Case 2.1, else None."""
+    if p.omega < 3 or any(i >= 3 for i, _ in p.C):
+        return None
+    rows = [[pair for pair, cp in p.Cprime.items() if pair[0] == row and pair[1] >= 3 and cp]
+            for row in (1, 2)]
+    if any(len(live) != 1 for live in rows):
+        return None
+    (one,), (two,) = rows
+    if len(p.D[one] & p.D[two]) < 2:
+        return None
+    return p.Cprime[one], p.Cprime[two]
+
+
+def _check_case_lemmas(g):
+    """Assert the two facts the 2*omega colourer certifies on the member g.
+
+    If some C'_(1,j), j >= 3, is nonempty, every C_{1,2} component has fewer
+    than omega vertices; in Case 2.1 both C' cells are cliques. Returns
+    (Case 2.1 applies, a C'_(1,j) is nonempty beside a C_{1,2} component of
+    omega - 1 vertices), so callers can count the inputs that test each fact.
+    """
+    p = partition_for(g)
+    c12 = g.components(p.C.get((1, 2), 0))
+    tight = False
+    if any(i == 1 and j >= 3 and cp for (i, j), cp in p.Cprime.items()):
+        assert all(comp.bit_count() < p.omega for comp in c12), g.edges()
+        tight = any(comp.bit_count() == p.omega - 1 for comp in c12)
+    cells = _case21_cells(p)
+    assert (cells is not None) == (color_two_omega(g)[1].case == "Case2.1")
+    if cells is not None:
+        assert all(g.is_clique(cell) for cell in cells), g.edges()
+    return cells is not None, tight
+
+
+def test_case_lemmas_on_relabelled_atlas_members():
+    # Case 2.1 needs n >= 8, so on n <= 7 this checks the C_{1,2} bound (13 of
+    # these members have a C'_(1,j) beside a nonempty C_{1,2}) and the case
+    # detection under relabelling
+    rng = random.Random(0)
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        if g.n and is_class_member(g)[0]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            _check_case_lemmas(relabel(g, perm))
+
+
+def test_case21_cells_are_cliques_on_template_draws():
+    fired = [_check_case_lemmas(g)[0] for g in template_members(4, (0, 1), 12000, seed=0)]
+    assert sum(fired) >= 20
+
+
+def test_c12_components_stay_below_omega_on_template_draws():
+    tight = [_check_case_lemmas(g)[1] for g in template_members(3, (1, 2), 2000, seed=0)]
+    assert sum(tight) >= 20
+
+
+def test_case21_certifies_single_clique_cells():
+    # case21_graph plus an edge 8-9 seeing vertex 1 only: C'_(1,3) has two
+    # components, which a P3 u P2 rules out on a member (here 6-0-2 beside 8-9)
+    g = build_graph(10, case21_graph().edges() + [(8, 9), (8, 1), (9, 1)])
+    assert find_induced(g, "p3up2") is not None
+    with pytest.raises(CertificationError, match="not a clique in Case 2.1"):
+        coloring._color_cases(g, partition_for(g), ColoringTrace())
+
+
+def test_full_c12_component_beside_a_used_w_plus_1_is_certification_failure():
+    # omega = 3, A = 0,1,2: x=3 and y=4 lie in C'_(1,3); T = {5,6,7} is a
+    # C_{1,2} component of omega vertices, x missing 5 and y missing 6, so
+    # 1-4-7-6 is a P4 inside N(3): the gem of the proof
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 1), (4, 1), (5, 6), (5, 7), (6, 7),
+             (3, 6), (3, 7), (4, 5), (4, 7)]
+    g = build_graph(8, edges)
+    assert find_induced(g, "gem") is not None
+    p = partition_for(g)
+    assert p.A == (0, 1, 2) and p.C[(1, 2)] == 0b11100000 and p.Cprime[(1, 3)] == 0b11000
+    colors = [1, 2, 3, 4, 0, 0, 0, 0]  # x took w+1 as a Case 2.2 u-vertex would
+    with pytest.raises(CertificationError, match="component of omega vertices meets a used w"):
+        coloring._color_c12(g, p, colors, ColoringTrace(A=p.A, u_vertices=(3,)))
 
 
 def test_trace_pool_colors_respect_nonadjacency(corpus):

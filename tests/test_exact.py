@@ -20,7 +20,7 @@ from gemfree.generators import (
     groetzsch_graph,
     schlafli_complement,
 )
-from gemfree.graphs import Graph, bits, build_graph, complement, mask_of
+from gemfree.graphs import bits, build_graph, complement, first_occurrence_colors, mask_of
 from gemfree.patterns import complete_graph, cycle_graph
 from gemfree.suite import _exhaustive_chi
 
@@ -89,6 +89,12 @@ def test_chromatic_guardrail():
     with pytest.raises(SizeGuardError):
         chromatic_number(big)
     assert chromatic_number(big, max_n=65).chi == 1
+
+
+def test_chromatic_number_of_the_empty_graph():
+    # alpha <= 2 holds vacuously: the matching route answers chi = 0
+    r = chromatic_number(build_graph(0, []))
+    assert r.chi == 0 and r.witness.colors == () and r.witness.num_colors == 0
 
 
 def test_chromatic_witness_is_proper_and_optimal_count():
@@ -166,7 +172,7 @@ def test_chi_alpha2_matches_dsatur_and_exhaustive(g):
     r = chromatic_number(g)
     assert r.chi == dsatur_chi(g) == _exhaustive_chi(g)
     assert all(r.witness.colors[u] != r.witness.colors[v] for u, v in g.edges())
-    assert r.witness == r.witness.normalize()
+    assert r.witness.colors == first_occurrence_colors(r.witness.colors)
     assert r.witness.distinct_colors == r.witness.num_colors == r.chi
 
 

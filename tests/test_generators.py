@@ -1,13 +1,11 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gemfree.generators
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
-    SamplingError,
     check_srg,
     class_corpus,
     complete_expansion,

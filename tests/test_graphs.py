@@ -9,12 +9,14 @@ from gemfree.generators import ExpansionSpec, complete_expansion, named_graph, r
 from gemfree.graph_io import parse
 from gemfree.graphs import (
     Coloring,
+    Graph,
     GraphError,
     bits,
     build_graph,
     cograph_coloring,
     complement,
     disjoint_union,
+    first_occurrence_colors,
     join,
     mask_of,
 )
@@ -118,11 +120,13 @@ def test_brackets_on_join_and_union():
     assert not any(u.adj[v] & right for v in bits(left))
 
 
-def test_coloring_normalize():
-    c = Coloring((5, 3, 5, 7))
-    n = c.normalize()
+def test_first_occurrence_colors():
+    n = Coloring(first_occurrence_colors((5, 3, 5, 7)))
     assert n.colors == (1, 2, 1, 3) and n.num_colors == 3
     assert n.distinct_colors == n.num_colors
+    # an uncoloured vertex stays 0 and takes no label
+    assert first_occurrence_colors((0, 4, 0, 2, 4)) == (0, 1, 0, 2, 1)
+    assert first_occurrence_colors(()) == ()
 
 
 def test_coloring_num_colors_is_largest_color():
@@ -130,6 +134,17 @@ def test_coloring_num_colors_is_largest_color():
     assert Coloring(()).num_colors == 0
     with pytest.raises(TypeError):
         Coloring((1, 2), 3)
+
+
+@pytest.mark.parametrize("n,adj,message", [
+    (2, (0b10,), "row count does not match n"),
+    (2, (0b100, 0b000), "row 0 has bits >= n"),
+    (2, (0b01, 0b00), "self-loop at vertex 0"),
+    (2, (0b10, 0b00), "asymmetric adjacency between 1 and 0"),
+], ids=["row-count", "bit-beyond-n", "self-loop", "asymmetric"])
+def test_graph_rejects_malformed_rows(n, adj, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(n, adj)
 
 
 def test_coloring_rejects_nonpositive():
