@@ -23,7 +23,7 @@ from .coloring import (
     greedy_coloring,
     verify_proper,
 )
-from .exact import SizeGuardError, chromatic_number, max_clique
+from .exact import chromatic_number, max_clique
 from .generators import (
     ExpansionSpec,
     SamplingError,
@@ -35,7 +35,7 @@ from .generators import (
 from .graph_io import FORMATS, WRITERS, read_graph, serialize
 from .graphs import Graph, GraphError
 from .partition import partition_for, run_all_checks
-from .patterns import PatternError, is_class_member, pattern
+from .patterns import DEFAULT_CLASS, is_class_member, pattern
 from .suite import run_suite
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def _load(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g, sha = _load(args)
-    forbidden = tuple(s.strip() for s in args.cls.split(",")) if args.cls else ("p3up2", "gem")
+    forbidden = tuple(s.strip() for s in args.cls.split(",")) if args.cls else DEFAULT_CLASS
     for name in forbidden:
         pattern(name)  # validate names up front
     member, witness = is_class_member(g, forbidden)
@@ -91,9 +91,11 @@ def cmd_color(args: argparse.Namespace) -> int:
         trace_dict = trace.to_json_dict()
         verified = trace.verified
         omega = len(trace.A)
+        bound = 2 * omega
     elif args.algorithm == "three-omega":
         coloring, omega = _three_omega(g)
         verified = True
+        bound = max(3 * omega - 2, 1)
     else:
         if args.algorithm == "greedy":
             coloring = greedy_coloring(g)
@@ -101,12 +103,12 @@ def cmd_color(args: argparse.Namespace) -> int:
             coloring = chromatic_number(g, max_n=args.max_n).witness
         verified = verify_proper(g, coloring)[0]
         omega = max_clique(g).omega
+        bound = None
     rep = _base_report(
         args, sha,
         algorithm=args.algorithm,
         omega=omega,
-        bound=2 * omega if args.algorithm == "two-omega" else
-              (max(3 * omega - 2, 1) if args.algorithm == "three-omega" else None),
+        bound=bound,
         num_colors=coloring.num_colors,
         colors={str(v): coloring.colors[v] for v in range(g.n)},
         verified=verified,
@@ -150,15 +152,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
     meta: dict = {}
     if args.name == "expansion":
         base = named_graph(args.base)
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise GraphError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
         spec = ExpansionSpec(base, sizes)
         g = complete_expansion(spec)
         meta["bags"] = expansion_bags(spec)
         meta["base"] = args.base
     elif args.name == "random":
-        g = random_class_member(args.n, args.seed or 0, args.strategy)
+        g = random_class_member(args.n, args.seed, args.strategy)
         meta["strategy"] = args.strategy
-        meta["seed"] = args.seed or 0
+        meta["seed"] = args.seed
     else:
         g = named_graph(args.name)
     text = serialize(g, args.format)
@@ -175,7 +180,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    results = run_suite(seed=args.seed or 0, size_budget=args.size_budget)
+    results = run_suite(seed=args.seed, size_budget=args.size_budget)
     rep = _base_report(
         args,
         size_budget=args.size_budget,
@@ -234,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=tuple(WRITERS), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--human", action="store_true")
 
     p = sub.add_parser("suite", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
@@ -277,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             "trace": exc.trace.to_json_dict() if exc.trace else None,
         }))
         return EXIT_CERTIFICATION
-    except (GraphError, PatternError, SizeGuardError, SamplingError,
-            OSError, ValueError) as exc:
+    except (ValueError, OSError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -256,8 +256,8 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
             raise CertificationError(f"C'_(1,{j}) or C'_(2,{ell}) is not a clique in Case 2.1")
         trace.S = tuple(bits(cp1))
         trace.T = tuple(bits(cp2))
-        na_s = p.na_positions(cp1)
-        na_t = p.na_positions(cp2)
+        every = frozenset(range(1, omega + 1))
+        na_s, na_t = every - d1, every - d2  # N_A(S), N_A(T): D is their complement
         if na_s & na_t:
             raise CertificationError("N_A(S) and N_A(T) intersect in Case 2.1")
         pool_s = sorted(na_t) + sorted(shared)

@@ -103,19 +103,19 @@ def schlafli_complement() -> Graph:
         if adj:
             edges.append((index[x], index[y]))
     g = build_graph(27, edges, "schlafli-complement")
-    srg, params = check_srg(g)
-    if not srg or params != (27, 10, 1, 5):
+    params = check_srg(g)
+    if params != (27, 10, 1, 5):
         raise GraphError(f"27-lines construction failed SRG check: {params}")
     return g
 
 
-def check_srg(g: Graph) -> tuple[bool, tuple[int, int, int, int] | None]:
-    """Strong-regularity check by brute force over all vertex pairs."""
+def check_srg(g: Graph) -> tuple[int, int, int, int] | None:
+    """(n, k, lambda, mu) if G is strongly regular, else None; brute force over vertex pairs."""
     if g.n == 0:
-        return False, None
+        return None
     k = g.degree(0)
     if any(g.degree(v) != k for v in range(g.n)):
-        return False, None
+        return None
     lam: int | None = None
     mu: int | None = None
     for u in range(g.n):
@@ -125,15 +125,15 @@ def check_srg(g: Graph) -> tuple[bool, tuple[int, int, int, int] | None]:
                 if lam is None:
                     lam = common
                 elif lam != common:
-                    return False, None
+                    return None
             else:
                 if mu is None:
                     mu = common
                 elif mu != common:
-                    return False, None
+                    return None
     if lam is None or mu is None:
-        return False, None
-    return True, (g.n, k, lam, mu)
+        return None
+    return g.n, k, lam, mu
 
 
 def named_graph(name: str) -> Graph:

@@ -42,7 +42,6 @@ def lex_pairs(omega: int) -> list[LexPair]:
 
 @dataclass(frozen=True)
 class WBCPartition:
-    graph: Graph
     A: tuple[int, ...]  # v_1..v_omega by position
     I: tuple[int, ...]  # I_1..I_omega as masks (index k-1)
     C: dict[LexPair, int]  # the non-empty cell masks, in lex order
@@ -53,22 +52,19 @@ class WBCPartition:
     def omega(self) -> int:
         return len(self.A)
 
-    def na_positions(self, mask: int) -> frozenset[int]:
-        """Clique positions whose vertex has a neighbor in `mask`."""
-        return frozenset(
-            k for k in range(1, self.omega + 1) if self.graph.adj[self.A[k - 1]] & mask
-        )
-
     def to_json_dict(self) -> dict[str, Any]:
         # every lex pair: an empty cell has C = C' = [] and D = every position
         keys = {pair: f"{pair[0]},{pair[1]}" for pair in lex_pairs(self.omega)}
-        every = range(1, self.omega + 1)
+        every = list(range(1, self.omega + 1))
         return {
             "A": list(self.A),
-            "I": {str(k + 1): sorted(bits(self.I[k])) for k in range(self.omega)},
-            "C": {key: sorted(bits(self.C.get(pair, 0))) for pair, key in keys.items()},
-            "Cprime": {key: sorted(bits(self.Cprime.get(pair, 0))) for pair, key in keys.items()},
-            "D": {key: sorted(self.D.get(pair, every)) for pair, key in keys.items()},
+            "I": {str(k + 1): list(bits(self.I[k])) for k in range(self.omega)},
+            "C": {key: list(bits(self.C[pair])) if pair in self.C else []
+                  for pair, key in keys.items()},
+            "Cprime": {key: list(bits(self.Cprime[pair])) if pair in self.Cprime else []
+                       for pair, key in keys.items()},
+            "D": {key: sorted(self.D[pair]) if pair in self.D else every
+                  for pair, key in keys.items()},
         }
 
 
@@ -110,7 +106,7 @@ def _partition(g: Graph, a: tuple[int, ...]) -> WBCPartition:
               for pair, cell in c_sets.items()}
     d_sets = {pair: frozenset(k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp)
               for pair, cp in cprime.items()}
-    return WBCPartition(g, a, tuple(i_sets), c_sets, cprime, d_sets)
+    return WBCPartition(a, tuple(i_sets), c_sets, cprime, d_sets)
 
 
 @dataclass(frozen=True)

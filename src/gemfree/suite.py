@@ -57,37 +57,34 @@ def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
     return res
 
 
-def criterion_1_groetzsch() -> CriterionResult:
-    g = groetzsch_graph()
+def _witness_facts(g: Graph) -> dict[str, Any]:
+    """omega, chi, membership, the color count of the certified 2*omega coloring
+    and its `verified` flag."""
     omega = max_clique(g).omega
     chi = chromatic_number(g).chi
     member = is_class_member(g)[0]
     col, trace = color_two_omega(g)
-    details = {
-        "n": g.n, "omega": omega, "chi": chi, "member": member,
-        "two_omega_colors": col.distinct_colors, "verified": trace.verified,
-    }
-    passed = (g.n == 11 and omega == 2 and chi == 4 and member
-              and trace.verified and col.distinct_colors == 4)
+    return {"omega": omega, "chi": chi, "member": member,
+            "two_omega_colors": col.distinct_colors, "verified": trace.verified}
+
+
+def criterion_1_groetzsch() -> CriterionResult:
+    g = groetzsch_graph()
+    facts = _witness_facts(g)
+    passed = g.n == 11 and facts == {"omega": 2, "chi": 4, "member": True,
+                                     "two_omega_colors": 4, "verified": True}
     return CriterionResult(1, "Groetzsch witness: n=11, omega=2, chi=4, member, 4-color cert",
-                           passed, details)
+                           passed, {"n": g.n, **facts})
 
 
 def criterion_2_schlafli() -> CriterionResult:
     g = schlafli_complement()
-    srg_ok, params = check_srg(g)
-    omega = max_clique(g).omega
-    chi = chromatic_number(g).chi
-    member = is_class_member(g)[0]
-    col, trace = color_two_omega(g)
-    details = {
-        "srg": params, "omega": omega, "chi": chi, "member": member,
-        "two_omega_colors": col.distinct_colors, "verified": trace.verified,
-    }
-    passed = (srg_ok and params == (27, 10, 1, 5) and omega == 3 and chi == 6
-              and member and trace.verified and col.distinct_colors == 6)
+    params = check_srg(g)
+    facts = _witness_facts(g)
+    passed = params == (27, 10, 1, 5) and facts == {"omega": 3, "chi": 6, "member": True,
+                                                    "two_omega_colors": 6, "verified": True}
     return CriterionResult(2, "Schlafli complement: SRG(27,10,1,5), omega=3, chi=6, 6-color cert",
-                           passed, details)
+                           passed, {"srg": params, **facts})
 
 
 def criterion_3_expansions() -> CriterionResult:

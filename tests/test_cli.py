@@ -177,6 +177,13 @@ def test_gen_random_deterministic(capsys):
     assert graph["n"] == 8 and meta["meta"]["seed"] == 5
 
 
+@pytest.mark.parametrize("sizes", ["1,,1,1,1", "1,x,1,1,1"])
+def test_gen_expansion_bad_sizes_names_the_option(sizes, capsys):
+    assert main(["gen", "expansion", "--sizes", sizes]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --sizes must be comma-separated integers: {sizes!r}\n"
+
+
 @pytest.mark.parametrize("strategy", ["reject", "expand", "prune"])
 def test_gen_random_rejects_empty_graph(strategy, capsys):
     assert main(["gen", "random", "--n", "0", "--strategy", strategy]) == 2

@@ -19,7 +19,13 @@ from gemfree.coloring import (
     verify_proper,
 )
 from gemfree.exact import chromatic_number, max_clique
-from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
+from gemfree.generators import (
+    ExpansionSpec,
+    complete_expansion,
+    groetzsch_graph,
+    random_class_member,
+    schlafli_complement,
+)
 from gemfree.graph_io import serialize
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, join
 from gemfree.partition import partition_for, run_all_checks
@@ -337,6 +343,19 @@ def test_three_omega_bound_on_corpus(corpus):
         col = color_three_omega(g)
         assert verify_proper(g, col)[0]
         assert col.num_colors <= max(3 * omega - 2, 1)
+
+
+@pytest.mark.parametrize("strategy", ["expand", "prune"])
+def test_larger_members_color_counts_against_exact_chi(strategy):
+    # n = 20..60 lies past the corpus (n <= 14) and within exact chi's default max_n
+    for n in range(20, 61):
+        g = random_class_member(n, n, strategy)
+        omega = max_clique(g).omega
+        chi = chromatic_number(g).chi
+        two = color_two_omega(g)[0].num_colors
+        three = color_three_omega(g).num_colors
+        assert omega <= chi <= two <= 2 * omega, (strategy, n)
+        assert chi <= three <= max(3 * omega - 2, 1), (strategy, n)
 
 
 @settings(max_examples=40, deadline=None)

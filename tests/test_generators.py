@@ -83,8 +83,7 @@ def test_mycielskian_preserves_triangle_freeness(g):
 
 def test_schlafli_complement_parameters():
     g = schlafli_complement()
-    srg, params = check_srg(g)
-    assert srg and params == (27, 10, 1, 5)
+    assert check_srg(g) == (27, 10, 1, 5)
     assert max_clique(g).omega == 3
     assert max_clique(complement(g)).omega == 6
     assert is_class_member(g)[0]

@@ -6,10 +6,13 @@ caller in the package or is named in README.md. No module copies an induced subg
 searches run inside vertex masks of the host instead. Only `partition.py`
 lists every lex pair: the partition maps hold the non-empty cells, and the
 other modules walk those. No module imports networkx, a test dependency
-only. These checks use only `ast`; the two networkx-loading checks import the
-package in a child interpreter.
+only. Every CLI option is read by its command. These checks use only `ast`,
+apart from the CLI check, which takes the options from `build_parser()`, and
+the two networkx-loading checks, which import the package in a child
+interpreter.
 """
 
+import argparse
 import ast
 import re
 import subprocess
@@ -17,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gemfree.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gemfree"
@@ -113,3 +118,34 @@ def test_no_module_imports_networkx():
             if any(name.split(".")[0] == "networkx" for name in names):
                 found.setdefault(path.name, []).append(node.lineno)
     assert not found, f"networkx imported at {found}"
+
+
+def _args_reads(functions: dict[str, ast.FunctionDef], name: str, seen: set[str]) -> set[str]:
+    """Attributes of `args` read in function `name`, as `args.x` or `getattr(args, "x", ...)`,
+    and in the functions of the module it passes `args` to."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed = [a for a in node.args if isinstance(a, ast.Name) and a.id == "args"]
+            if node.func.id == "getattr" and passed and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+            elif passed and node.func.id in functions and node.func.id not in seen:
+                reads |= _args_reads(functions, node.func.id, seen)
+    return reads
+
+
+def test_every_cli_option_is_read_by_its_command():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        missing = dests - _args_reads(functions, f"cmd_{command}", set())
+        if missing:
+            unread[command] = sorted(missing)
+    assert not unread, f"options parsed but never read: {unread}"

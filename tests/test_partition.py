@@ -101,7 +101,7 @@ def _dense_partition(g, a):
         d_sets[pair] = frozenset(
             k for k in range(1, omega + 1) if not g.adj[a[k - 1]] & cp
         )
-    return WBCPartition(g, a, tuple(i_sets), c_sets, cprime, d_sets)
+    return WBCPartition(a, tuple(i_sets), c_sets, cprime, d_sets)
 
 
 def _assert_matches_dense(g, seed):
