@@ -25,6 +25,7 @@ from .coloring import (
 )
 from .exact import chromatic_number, max_clique
 from .generators import (
+    STRATEGIES,
     ExpansionSpec,
     SamplingError,
     complete_expansion,
@@ -148,23 +149,30 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+# the `gen` options and the one generator that reads each
+GEN_OPTION_OWNERS = {"base": "expansion", "sizes": "expansion",
+                     "n": "random", "strategy": "random", "seed": "random"}
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
-    meta: dict = {}
+    for option, owner in GEN_OPTION_OWNERS.items():
+        if hasattr(args, option) and args.name != owner:
+            raise GraphError(f"gen {args.name} does not take --{option}")
     if args.name == "expansion":
-        base = named_graph(args.base)
+        base, sizes = getattr(args, "base", "c5"), getattr(args, "sizes", "1,1,1,1,1")
+        base_graph = named_graph(base)
         try:
-            sizes = tuple(int(s) for s in args.sizes.split(","))
+            bag_sizes = tuple(int(s) for s in sizes.split(","))
         except ValueError:
-            raise GraphError(f"--sizes must be comma-separated integers: {args.sizes!r}") from None
-        spec = ExpansionSpec(base, sizes)
+            raise GraphError(f"--sizes must be comma-separated integers: {sizes!r}") from None
+        spec = ExpansionSpec(base_graph, bag_sizes)
         g = complete_expansion(spec)
-        meta["bags"] = expansion_bags(spec)
-        meta["base"] = args.base
+        meta = {"bags": expansion_bags(spec), "base": base}
     elif args.name == "random":
-        g = random_class_member(args.n, args.seed, args.strategy)
-        meta["strategy"] = args.strategy
-        meta["seed"] = args.seed
+        meta = {"strategy": getattr(args, "strategy", "reject"), "seed": getattr(args, "seed", 0)}
+        g = random_class_member(getattr(args, "n", 8), meta["seed"], meta["strategy"])
     else:
+        meta = {}
         g = named_graph(args.name)
     text = serialize(g, args.format)
     if args.out:
@@ -174,8 +182,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(json.dumps({"written": args.out, "n": g.n, "m": g.num_edges, **meta}))
     else:
         sys.stdout.write(text)
-        if meta and args.format == "json":
-            print(json.dumps({"meta": meta}))
     return EXIT_OK
 
 
@@ -232,11 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated graph")
     p.add_argument("name", help="named graph, 'expansion', or 'random'")
-    p.add_argument("--base", default="c5")
-    p.add_argument("--sizes", default="1,1,1,1,1")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--strategy", choices=("reject", "expand", "prune"), default="reject")
-    p.add_argument("--seed", type=int, default=0)
+    # unset, these stay off `args`: cmd_gen refuses those its generator does not read
+    p.add_argument("--base", default=argparse.SUPPRESS, help="expansion only (default c5)")
+    p.add_argument("--sizes", default=argparse.SUPPRESS,
+                   help="expansion only (default 1,1,1,1,1)")
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS, help="random only (default 8)")
+    p.add_argument("--strategy", choices=STRATEGIES, default=argparse.SUPPRESS,
+                   help="random only (default reject)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random only (default 0)")
     p.add_argument("--format", choices=tuple(WRITERS), default="json")
     p.add_argument("--out", default=None)
 

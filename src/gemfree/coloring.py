@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors
 from .partition import WBCPartition, partition_for
-from .patterns import PatternWitness, find_induced, is_class_member
+from .patterns import PatternWitness, _components_if_cliques, find_induced, is_class_member
 
 
 class ClassViolationError(ValueError):
@@ -134,10 +134,9 @@ def _certify(g: Graph, colors: Sequence[int], bound: int, bound_name: str) -> Co
 
 def _clique_components(g: Graph, cell: int, what: str) -> list[int]:
     """Components of a cell, certified to be cliques (P3-freeness consequence)."""
-    comps = g.components(cell)
-    for comp in comps:
-        if not g.is_clique(comp):
-            raise CertificationError(f"{what} is not a clique")
+    comps = _components_if_cliques(g, cell)
+    if comps is None:
+        raise CertificationError(f"{what} is not a clique")
     return comps
 
 

@@ -173,43 +173,48 @@ def random_class_member(n: int, seed: int, strategy: str = "reject") -> Graph:
     if strategy == "reject":
         if n > 16:
             raise GraphError("rejection strategy limited to n <= 16")
-        for p in REJECTION_P_GRID:
-            for _ in range(REJECTION_ATTEMPTS_PER_P):
-                g = gnp(n, p, rng)
-                if is_class_member(g)[0]:
-                    return g
-        raise SamplingError(f"no member found for n={n}, seed={seed}")
-    if strategy == "expand":
-        bases = [cycle_graph(5), cycle_graph(4), complete_graph(3),
-                 complete_graph(2), complete_graph(1)]
-        for _ in range(200):
-            base = rng.choice([b for b in bases if b.n <= n])
-            sizes = _random_composition(n, base.n, rng)
-            g = complete_expansion(ExpansionSpec(base, tuple(sizes)))
-            if is_class_member(g)[0]:
-                return g
-        raise SamplingError(f"no expansion member for n={n}, seed={seed}")
-    if strategy == "prune":
-        for _ in range(200):
-            if rng.random() < 0.5 and n <= 27:
-                big = schlafli_complement()
-            else:
-                base = rng.choice([cycle_graph(5), cycle_graph(4)])
-                # capped after the draw: members with n + 5 <= MAX_VERTICES
-                # are the ones the uncapped sampler drew
-                total = min(n + rng.randint(1, 5), MAX_VERTICES)
-                if total < base.n:
-                    continue  # too few vertices for one per bag
-                sizes = _random_composition(total, base.n, rng)
-                big = complete_expansion(ExpansionSpec(base, tuple(sizes)))
-            keep = sorted(rng.sample(range(big.n), n))
-            idx = {v: i for i, v in enumerate(keep)}
-            edges = [(idx[u], idx[v]) for u, v in big.edges() if u in idx and v in idx]
-            g = build_graph(n, edges)
-            if is_class_member(g)[0]:
-                return g
-        raise SamplingError(f"no pruned member for n={n}, seed={seed}")
-    raise GraphError(f"unknown strategy {strategy!r}")
+        draws = (gnp(n, p, rng) for p in REJECTION_P_GRID for _ in range(REJECTION_ATTEMPTS_PER_P))
+        failure = "no member found"
+    elif strategy == "expand":
+        draws = (_expand_draw(n, rng) for _ in range(200))
+        failure = "no expansion member"
+    elif strategy == "prune":
+        draws = (_prune_draw(n, rng) for _ in range(200))
+        failure = "no pruned member"
+    else:
+        raise GraphError(f"unknown strategy {strategy!r}")
+    for g in draws:
+        if g is not None and is_class_member(g)[0]:
+            return g
+    raise SamplingError(f"{failure} for n={n}, seed={seed}")
+
+
+def _expand_draw(n: int, rng: random.Random) -> Graph:
+    """A complete expansion on n vertices of a random small base."""
+    bases = [cycle_graph(5), cycle_graph(4), complete_graph(3),
+             complete_graph(2), complete_graph(1)]
+    base = rng.choice([b for b in bases if b.n <= n])
+    sizes = _random_composition(n, base.n, rng)
+    return complete_expansion(ExpansionSpec(base, tuple(sizes)))
+
+
+def _prune_draw(n: int, rng: random.Random) -> Graph | None:
+    """n random vertices of the Schlafli complement or of an expansion of C5 or C4, or None."""
+    if rng.random() < 0.5 and n <= 27:
+        big = schlafli_complement()
+    else:
+        base = rng.choice([cycle_graph(5), cycle_graph(4)])
+        # capped after the draw: members with n + 5 <= MAX_VERTICES
+        # are the ones the uncapped sampler drew
+        total = min(n + rng.randint(1, 5), MAX_VERTICES)
+        if total < base.n:
+            return None
+        sizes = _random_composition(total, base.n, rng)
+        big = complete_expansion(ExpansionSpec(base, tuple(sizes)))
+    keep = sorted(rng.sample(range(big.n), n))
+    idx = {v: i for i, v in enumerate(keep)}
+    edges = [(idx[u], idx[v]) for u, v in big.edges() if u in idx and v in idx]
+    return build_graph(n, edges)
 
 
 def _random_composition(total: int, parts: int, rng: random.Random) -> list[int]:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable
 
 from .exact import max_clique
 from .graphs import Graph, bits, mask_of
-from .patterns import find_induced
+from .patterns import _components_if_cliques, find_induced, is_p4_free
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
 
@@ -176,7 +176,7 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     """
     entries = []
     for (i, j), cell in p.C.items():
-        w = find_induced(g, "p3", cell)
+        w = None if _components_if_cliques(g, cell) is not None else find_induced(g, "p3", cell)
         entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
@@ -196,7 +196,7 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     for (i, j), cell in p.C.items():
         if j < 3:
             continue
-        w = find_induced(g, "p4", cell)
+        w = None if is_p4_free(g, cell) else find_induced(g, "p4", cell)
         entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
         for comp in g.components(cell):
             cmin = (comp & -comp).bit_length() - 1

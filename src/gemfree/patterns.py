@@ -231,21 +231,25 @@ def _has_p3up2(host: Graph, reps: int, multi: int) -> bool:
 
 
 def is_p3_free(g: Graph, within: int | None = None) -> bool:
-    """True iff <within> (default: all of g) has no induced P3.
+    """True iff <within> (default: all of g) has no induced P3."""
+    return _components_if_cliques(g, g.full_mask if within is None else within) is not None
 
-    That holds iff every component is a clique, i.e. the closed neighbourhood
-    of each vertex inside `within` is its whole component and is shared by
-    every vertex of it.
-    """
-    mask = g.full_mask if within is None else within
+
+def _components_if_cliques(g: Graph, mask: int) -> list[int] | None:
+    """The components of <mask>, ascending by least vertex, if all are cliques,
+    else None (<mask> has an induced P3). In a P3-free set the component of v
+    is its closed neighbourhood inside <mask>, the same for each vertex of it."""
+    comps = []
     rest = mask
     while rest:
         low = rest & -rest
         comp = (g.adj[low.bit_length() - 1] & mask) | low
-        if any((g.adj[x] & mask) | 1 << x != comp for x in bits(comp)):
-            return False
+        for x in bits(comp):
+            if (g.adj[x] & mask) | 1 << x != comp:
+                return None
+        comps.append(comp)
         rest &= ~comp
-    return True
+    return comps
 
 
 def is_p4_free(g: Graph, within: int | None = None) -> bool:

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,14 @@ import gemfree
 from gemfree import cli, coloring, exact, partition
 from gemfree.cli import build_parser, main
 from gemfree.exact import chromatic_number, max_clique
-from gemfree.graph_io import FORMATS, serialize
-from gemfree.generators import ExpansionSpec, complete_expansion, groetzsch_graph, schlafli_complement
+from gemfree.graph_io import FORMATS, read_graph, serialize
+from gemfree.generators import (
+    ExpansionSpec,
+    complete_expansion,
+    groetzsch_graph,
+    random_class_member,
+    schlafli_complement,
+)
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
 from gemfree.suite import CriterionResult
 
@@ -169,12 +176,62 @@ def test_gen_expansion_with_bag_map(tmp_path, capsys):
     assert g["n"] == 10
 
 
-def test_gen_random_deterministic(capsys):
+def test_gen_random_deterministic(tmp_path, capsys):
     code1, out1 = run(capsys, "gen", "random", "--n", "8", "--seed", "5")
     code2, out2 = run(capsys, "gen", "random", "--n", "8", "--seed", "5")
     assert code1 == code2 == 0 and out1 == out2
-    graph, meta = (json.loads(line) for line in out1.splitlines())
-    assert graph["n"] == 8 and meta["meta"]["seed"] == 5
+    assert json.loads(out1)["n"] == 8  # the graph alone: one JSON object
+    out_path = tmp_path / "r.json"
+    code, summary = run(capsys, "gen", "random", "--n", "8", "--seed", "5", "--out", str(out_path))
+    assert code == 0 and out_path.read_text() == out1
+    assert json.loads(summary)["seed"] == 5
+
+
+GEN_CASES = {  # gen argv: the graph it must print
+    "named": (["groetzsch"], groetzsch_graph),
+    "expansion": (["expansion", "--base", "c4", "--sizes", "2,1,3,1"],
+                  lambda: complete_expansion(ExpansionSpec(cycle_graph(4), (2, 1, 3, 1)))),
+    "random": (["random", "--n", "9", "--seed", "2", "--strategy", "expand"],
+               lambda: random_class_member(9, 2, "expand")),
+}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("dimacs", ".col"), ("edgelist", ".txt"),
+                                        ("json", ".json")])
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_gen_stdout_reads_back(case, fmt, suffix, tmp_path, capsys):
+    argv, make = GEN_CASES[case]
+    code, out = run(capsys, "gen", *argv, "--format", fmt)
+    assert code == 0
+    path = tmp_path / f"g{suffix}"
+    path.write_text(out)
+    g, want = read_graph(path)[0], make()
+    assert (g.n, g.adj) == (want.n, want.adj)
+
+
+@pytest.mark.parametrize("name,option,value", [
+    ("c5", "n", "30"),
+    ("groetzsch", "strategy", "prune"),
+    ("random", "sizes", "2,2"),
+    ("expansion", "seed", "3"),
+])
+def test_gen_refuses_foreign_options(name, option, value, capsys):
+    assert main(["gen", name, f"--{option}", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gen {name} does not take --{option}\n"
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    """Every `gemfree` line of README's CLI block, in order, in one directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("gemfree ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("sizes", ["1,,1,1,1", "1,x,1,1,1"])

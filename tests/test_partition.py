@@ -27,7 +27,7 @@ from gemfree.partition import (
     partition_for,
     run_all_checks,
 )
-from gemfree.patterns import complete_graph, cycle_graph, is_class_member
+from gemfree.patterns import complete_graph, cycle_graph, find_induced, is_class_member
 
 from conftest import relabel, sampled_members
 
@@ -315,3 +315,24 @@ def test_partition_json_shape():
     assert d["C"]["1,2"] == [3]
     assert d["I"]["1"] == [2]
     assert d["D"]["1,2"] == [1, 2]
+
+
+def test_cell_pattern_clauses_match_a_pattern_search_on_atlas():
+    """fact1.i and lemma_gem.i hold iff `find_induced` finds no P3 (P4) in the
+    cell, whose lex-least copy is the witness: on members and non-members."""
+    failures = 0
+    for h in nx.graph_atlas_g()[1:]:
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        p = partition_for(g)
+        for report, clause, name, jmin in [(check_fact1(g, p), "fact1.i", "p3", 2),
+                                           (check_lemma_gem(g, p), "lemma_gem.i", "p4", 3)]:
+            want = []
+            for (i, j), cell in p.C.items():
+                if j >= jmin:
+                    w = find_induced(g, name, cell)
+                    want.append((clause, {"i": i, "j": j}, w is None, w and w.embedding))
+            got = [(e.clause, e.bindings, e.ok, e.witness)
+                   for e in report.entries if e.clause == clause]
+            assert got == want, g.edges()
+            failures += sum(1 for _, _, ok, _ in want if not ok)
+    assert failures  # the witness path runs

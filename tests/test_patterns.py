@@ -18,6 +18,7 @@ from gemfree.patterns import (
     NAMED_PATTERNS,
     PatternError,
     PatternWitness,
+    _components_if_cliques,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -104,6 +105,28 @@ def test_p3_free_fast_path():
     assert not is_p3_free(path_graph(4), 0b1110)
     assert not is_p4_free(path_graph(5), 0b11110)
     assert is_p4_free(path_graph(5), 0b10111)
+
+
+@st.composite
+def near_cluster_graphs(draw, max_n=12):
+    """Disjoint unions of cliques, with up to two vertex pairs toggled."""
+    n = draw(st.integers(0, max_n))
+    label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if label[u] == label[v]}
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)).filter(lambda e: e[0] < e[1])
+        edges ^= set(draw(st.lists(pair, max_size=2)))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_cluster_graphs(), small_graphs(max_n=12)), st.data())
+def test_clique_walk_matches_components_and_is_clique(g, data):
+    within = data.draw(st.one_of(st.just(g.full_mask), st.integers(0, g.full_mask)))
+    comps = g.components(within)
+    want = comps if all(g.is_clique(c) for c in comps) else None
+    assert _components_if_cliques(g, within) == want
+    assert is_p3_free(g, within) is (want is not None)
 
 
 def _brute_contains(host, pat):
