@@ -84,6 +84,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if hasattr(args, "max_n") and args.algorithm != "exact":
+        raise GraphError(f"color --algorithm {args.algorithm} does not take --max-n")
     g, sha = _load(args)
     t0 = time.perf_counter()
     trace_dict = None
@@ -101,7 +103,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         if args.algorithm == "greedy":
             coloring = greedy_coloring(g)
         else:
-            coloring = chromatic_number(g, max_n=args.max_n).witness
+            coloring = chromatic_number(g, max_n=getattr(args, "max_n", 64)).witness
         verified = verify_proper(g, coloring)[0]
         omega = max_clique(g).omega
         bound = None
@@ -227,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--algorithm", choices=("two-omega", "three-omega", "greedy", "exact"),
                    default="two-omega")
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
+                   help="exact only (default 64)")
 
     p = sub.add_parser("chi", help="exact chromatic number")
     add_input(p)

@@ -233,12 +233,12 @@ def _color_case2(g: Graph, p: WBCPartition, colors: list[int], trace: ColoringTr
     cp2 = p.Cprime[(2, ell)] if ell else 0
     d1 = p.D[(1, j)] if j else frozenset()
     d2 = p.D[(2, ell)] if ell else frozenset()
-    shared = d1 & d2 if (j and ell) else frozenset()
+    shared = d1 & d2  # empty if either C' cell is: its j or l is then None, its D empty
     trace.shared_positions = tuple(sorted(shared))
 
     u_vertices: list[int] = []
 
-    if not cp1 or not cp2 or not shared:
+    if not shared:
         trace.case = "Case2-simple"
         _color_cell(g, colors, cp1, sorted(d1), f"C'_(1,{j})", f"C'_(1,{j}) from D(1,{j})", trace)
         _color_cell(g, colors, cp2, sorted(d2), f"C'_(2,{ell})", f"C'_(2,{ell}) from D(2,{ell})",

@@ -6,7 +6,7 @@ import io
 import json
 from pathlib import Path
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, _check_vertex_count, build_graph
 
 
 def _int(token: str, lineno: int, line: str) -> int:
@@ -14,6 +14,15 @@ def _int(token: str, lineno: int, line: str) -> int:
         return int(token)
     except ValueError:
         raise GraphError(f"non-integer {token!r} on line {lineno}: {line!r}") from None
+
+
+def _bad_edge(u: int, v: int, n: int, base: int) -> str | None:
+    """What is wrong with the edge u v of a file numbering vertices base..base+n-1,
+    in the file's own numbers, or None. The readers check n at the header, first."""
+    end = base + n
+    if base <= u < end and base <= v < end:
+        return f"self-loop at vertex {u}" if u == v else None
+    return f"endpoint {v if base <= u < end else u} outside {base}..{end - 1}"
 
 
 def parse_dimacs(text: str, name: str = "") -> Graph:
@@ -31,14 +40,15 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphError(f"bad DIMACS header on line {lineno}: {line!r}")
             n, m = _int(parts[2], lineno, line), _int(parts[3], lineno, line)
+            _check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
                 raise GraphError("DIMACS edge line before header")
             if len(parts) != 3:
                 raise GraphError(f"DIMACS edge line {lineno} needs two endpoints: {line!r}")
             u, v = _int(parts[1], lineno, line), _int(parts[2], lineno, line)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"DIMACS endpoint out of range on line {lineno}")
+            if problem := _bad_edge(u, v, n, 1):
+                raise GraphError(f"{problem} on line {lineno}: {line!r}")
             edges.append((u - 1, v - 1))
         else:
             raise GraphError(f"unrecognized DIMACS line {lineno}: {line!r}")
@@ -68,6 +78,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
     if len(parts) != 2:
         raise GraphError("edge-list header must be 'n m'")
     n, m = _int(parts[0], hline, header), _int(parts[1], hline, header)
+    _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -75,7 +86,10 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"edge-list line needs two endpoints: {ln!r}")
-        edges.append((_int(parts[0], lineno, ln), _int(parts[1], lineno, ln)))
+        u, v = _int(parts[0], lineno, ln), _int(parts[1], lineno, ln)
+        if problem := _bad_edge(u, v, n, 0):
+            raise GraphError(f"{problem} on line {lineno}: {ln!r}")
+        edges.append((u, v))
     return build_graph(n, edges, name)
 
 
@@ -100,13 +114,17 @@ def parse_json_graph(text: str, name: str = "") -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphError("bad JSON graph object: expected an object with keys 'n' and 'edges'")
     n = _json_int(data["n"], "n")
+    _check_vertex_count(n)
     if not isinstance(data["edges"], list):
         raise GraphError("bad JSON graph object: edges must be a list")
     edges = []
     for i, e in enumerate(data["edges"]):
         if not isinstance(e, list) or len(e) != 2:
             raise GraphError(f"bad JSON graph object: edges[{i}] must be a pair [u, v], got {e!r}")
-        edges.append((_json_int(e[0], f"edges[{i}][0]"), _json_int(e[1], f"edges[{i}][1]")))
+        u, v = _json_int(e[0], f"edges[{i}][0]"), _json_int(e[1], f"edges[{i}][1]")
+        if problem := _bad_edge(u, v, n, 0):
+            raise GraphError(f"bad JSON graph object: {problem} in edges[{i}]")
+        edges.append((u, v))
     name = data.get("name", name)
     if not isinstance(name, str):
         raise GraphError(f"bad JSON graph object: name must be a string, got {name!r}")

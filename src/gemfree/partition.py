@@ -8,9 +8,9 @@ D_{i,j} collects the clique positions with no neighbor in C'_{i,j}.
 Class members fill few of the C(w,2) cells, so only the non-empty cells are
 computed and held: each outside vertex is classified once from the mask of
 clique vertices it misses, and C' and D are built per non-empty cell. The
-`C`/`Cprime`/`D` maps hold exactly the non-empty cells, in lex order. An empty
-cell has C = C' = 0 and D = every position; only `to_json_dict` spells that
-out, listing every lex pair.
+`C`/`Cprime`/`D` maps hold exactly the non-empty cells, in lex order, and so
+does `to_json_dict`. An absent pair is an empty cell: C = C' = 0 and D = every
+position.
 
 The checkers turn the structural statements that hold for (P3 u P2)-free /
 gem-free / class-member graphs into executable predicates with machine-readable
@@ -36,10 +36,6 @@ class PartitionError(ValueError):
     """A is not an ordered maximum clique of G."""
 
 
-def lex_pairs(omega: int) -> list[LexPair]:
-    return [(i, j) for i in range(1, omega + 1) for j in range(i + 1, omega + 1)]
-
-
 @dataclass(frozen=True)
 class WBCPartition:
     A: tuple[int, ...]  # v_1..v_omega by position
@@ -53,18 +49,13 @@ class WBCPartition:
         return len(self.A)
 
     def to_json_dict(self) -> dict[str, Any]:
-        # every lex pair: an empty cell has C = C' = [] and D = every position
-        keys = {pair: f"{pair[0]},{pair[1]}" for pair in lex_pairs(self.omega)}
-        every = list(range(1, self.omega + 1))
+        keys = {pair: f"{pair[0]},{pair[1]}" for pair in self.C}
         return {
             "A": list(self.A),
             "I": {str(k + 1): list(bits(self.I[k])) for k in range(self.omega)},
-            "C": {key: list(bits(self.C[pair])) if pair in self.C else []
-                  for pair, key in keys.items()},
-            "Cprime": {key: list(bits(self.Cprime[pair])) if pair in self.Cprime else []
-                       for pair, key in keys.items()},
-            "D": {key: sorted(self.D[pair]) if pair in self.D else every
-                  for pair, key in keys.items()},
+            "C": {key: list(bits(self.C[pair])) for pair, key in keys.items()},
+            "Cprime": {key: list(bits(self.Cprime[pair])) for pair, key in keys.items()},
+            "D": {key: sorted(self.D[pair]) for pair, key in keys.items()},
         }
 
 
@@ -196,9 +187,10 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     for (i, j), cell in p.C.items():
         if j < 3:
             continue
-        w = None if is_p4_free(g, cell) else find_induced(g, "p4", cell)
+        comps = g.components(cell)  # a P4 is connected: split the cell once for every clause
+        w = None if all(is_p4_free(g, c) for c in comps) else find_induced(g, "p4", cell)
         entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
-        for comp in g.components(cell):
+        for comp in comps:
             cmin = (comp & -comp).bit_length() - 1
             for ell in range(1, omega + 1):
                 row = g.adj[p.A[ell - 1]]

@@ -404,6 +404,8 @@ def exit_table(files, tmp_path):
         (["color", gem], None, 1),
         (["color", bad], None, 2),
         (["color", c5, "--algorithm", "exact", "--max-n", "3"], None, 2),
+        (["color", c5, "--algorithm", "exact"], None, 0),
+        (["color", c5, "--algorithm", "two-omega", "--max-n", "3"], None, 2),
         (["color", str(schlafli)], (coloring, "_color_c12", lambda *args: None), 3),
         (["chi", c5], None, 0),
         (["chi", c5, "--max-n", "3"], None, 2),

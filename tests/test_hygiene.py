@@ -3,13 +3,11 @@
 No module, script or test file imports a name it never uses; `__init__.py` is exempt
 because its imports are the package's re-exports, and each of those has a
 caller in the package or is named in README.md. No module copies an induced subgraph:
-searches run inside vertex masks of the host instead. Only `partition.py`
-lists every lex pair: the partition maps hold the non-empty cells, and the
-other modules walk those. No module imports networkx, a test dependency
-only. Every CLI option is read by its command. These checks use only `ast`,
-apart from the CLI check, which takes the options from `build_parser()`, and
-the two networkx-loading checks, which import the package in a child
-interpreter.
+searches run inside vertex masks of the host instead. No module imports
+networkx, a test dependency only. Every CLI option is read by its command.
+These checks use only `ast`, apart from the CLI check, which takes the
+options from `build_parser()`, and the two networkx-loading checks, which
+import the package in a child interpreter.
 """
 
 import argparse
@@ -65,12 +63,6 @@ def _call_lines(path: Path, name: str) -> list[int]:
 def test_no_induced_subgraph_copies(path):
     calls = _call_lines(path, "induced_subgraph")
     assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"
-
-
-def test_only_partition_lists_every_lex_pair():
-    calls = {path.name: lines for path in sorted(SRC.glob("*.py"))
-             if path.name != "partition.py" and (lines := _call_lines(path, "lex_pairs"))}
-    assert not calls, f"lex_pairs called outside partition.py: {calls}"
 
 
 def test_every_export_has_a_caller_or_doc():

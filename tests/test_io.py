@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,16 +43,27 @@ def test_dimacs_comments_and_1_based():
     assert g.n == 3 and g.has_edge(0, 1) and g.has_edge(1, 2)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["e 1 2\n", "p edge 2 1\ne 1 5\n", "p wrong 2 1\n", "p edge 2 1\nx 1 2\n",
-     "p edge 3 1\ne 1\n", "p edge x 1\n", "p edge 3 1\ne 1 x\n",
-     "p edge 3 x\ne 1 2\n",  # non-numeric edge count
-     "p edge 3 99\ne 1 2\n",  # fewer edge lines than the header says
-     "p edge 5 1\ne 4 5\np edge 6 1\n"],  # a second header
-)
+# malformed DIMACS input -> a pattern its error text starts with
+DIMACS_MALFORMED = {
+    "e 1 2\n": "DIMACS edge line before header",
+    "p edge 2 1\ne 1 5\n": "endpoint 5 outside 1..2 on line 2: 'e 1 5'",
+    "p wrong 2 1\n": "bad DIMACS header on line 1",
+    "p edge 2 1\nx 1 2\n": "unrecognized DIMACS line 2",
+    "p edge 3 1\ne 1\n": "DIMACS edge line 2 needs two endpoints",
+    "p edge x 1\n": "non-integer 'x' on line 1",
+    "p edge 3 1\ne 1 x\n": "non-integer 'x' on line 2",
+    "p edge 3 x\ne 1 2\n": "non-integer 'x' on line 1",  # non-numeric edge count
+    "p edge 3 99\ne 1 2\n": "expected 99 edge lines, found 1",  # fewer edge lines
+    "p edge 5 1\ne 4 5\np edge 6 1\n": "repeated DIMACS header on line 3",
+    "p edge 4 2\ne 1 2\ne 3 3\n": "self-loop at vertex 3 on line 3: 'e 3 3'",  # 1-based
+    "p edge 4 1\ne 0 2\n": "endpoint 0 outside 1..4 on line 2",  # 0 is not a DIMACS vertex
+    "p edge 600 1\ne 1 700\n": "vertex count 600 outside supported range",  # n first
+}
+
+
+@pytest.mark.parametrize("text", list(DIMACS_MALFORMED))
 def test_dimacs_rejects_malformed(text):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^" + re.escape(DIMACS_MALFORMED[text])):
         parse_dimacs(text)
 
 
@@ -60,15 +72,22 @@ def test_dimacs_repeated_header_names_line():
         parse_dimacs("p edge 5 1\ne 4 5\np edge 6 1\n")
 
 
-@pytest.mark.parametrize("text", [
-    "3 2\n0 1\n",  # fewer edge lines than the header says
-    "3 1\n0\n",  # one endpoint
-    "3 1\n0 1 2\n",  # three numbers
-    "3 1\n0 x\n",  # non-numeric endpoint
-    "x 1\n0 1\n",  # non-numeric header
-])
+# malformed edge-list input -> a pattern its error text starts with
+EDGELIST_MALFORMED = {
+    "3 2\n0 1\n": "expected 2 edge lines, found 1",
+    "3 1\n0\n": "edge-list line needs two endpoints: '0'",
+    "3 1\n0 1 2\n": "edge-list line needs two endpoints: '0 1 2'",
+    "3 1\n0 x\n": "non-integer 'x' on line 2",
+    "x 1\n0 1\n": "non-integer 'x' on line 1",
+    "4 2\n0 1\n2 9\n": "endpoint 9 outside 0..3 on line 3: '2 9'",
+    "4 1\n# c\n1 1\n": "self-loop at vertex 1 on line 3: '1 1'",  # comments keep line numbers
+    "-1 2\n0 1\n": "vertex count -1 outside supported range",  # n before the edge count
+}
+
+
+@pytest.mark.parametrize("text", list(EDGELIST_MALFORMED))
 def test_edgelist_rejects_malformed(text):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^" + re.escape(EDGELIST_MALFORMED[text])):
         parse_edgelist(text)
 
 
@@ -86,6 +105,8 @@ JSON_MALFORMED = {
     '{"n": 3, "edges": [[0, 1, 2]]}': r"edges\[0\]",
     '{"n": 3, "edges": "01"}': "edges",
     '{"n": 2, "edges": [], "name": 5}': "name",  # was an int name
+    '{"n": 4, "edges": [[0, 1], [2, 7]]}': r"endpoint 7 outside 0\.\.3 in edges\[1\]",
+    '{"n": 4, "edges": [[0, 1], [2, 2]]}': r"self-loop at vertex 2 in edges\[1\]",
 }
 
 

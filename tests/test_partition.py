@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+import gemfree.graphs
 import gemfree.partition
 from gemfree.exact import max_clique
 from gemfree.generators import (
@@ -23,7 +24,6 @@ from gemfree.partition import (
     check_fact1,
     check_lemma_class,
     check_lemma_gem,
-    lex_pairs,
     partition_for,
     run_all_checks,
 )
@@ -75,6 +75,10 @@ def test_partition_rejects_bad_clique_entry(g, a, bad):
         build_partition(g, a)
 
 
+def lex_pairs(omega):
+    return [(i, j) for i in range(1, omega + 1) for j in range(i + 1, omega + 1)]
+
+
 def _dense_partition(g, a):
     """Reference partition: every vertex and every lex pair examined one by one."""
     amask = mask_of(a)
@@ -104,13 +108,25 @@ def _dense_partition(g, a):
     return WBCPartition(a, tuple(i_sets), c_sets, cprime, d_sets)
 
 
+def _every_pair(d):
+    """Partition JSON with every lex pair: an absent pair has C = C' = [] and D = every position."""
+    keys = [f"{i},{j}" for i, j in lex_pairs(len(d["A"]))]
+    every = list(range(1, len(d["A"]) + 1))
+    return {**d, "C": {key: d["C"].get(key, []) for key in keys},
+            "Cprime": {key: d["Cprime"].get(key, []) for key in keys},
+            "D": {key: d["D"].get(key, every) for key in keys}}
+
+
 def _assert_matches_dense(g, seed):
-    """partition_for and build_partition (A shuffled) give the reference JSON,
-    and their maps hold exactly the reference's non-empty cells, in lex order."""
+    """partition_for and build_partition (A shuffled) hold exactly the reference's
+    non-empty cells, in lex order, in their maps and their JSON; the JSON with the
+    absent pairs filled in is the reference's, which lists every pair."""
     def check(p, ref):
-        assert json.dumps(p.to_json_dict()) == json.dumps(ref.to_json_dict())
         live = [pair for pair, cell in ref.C.items() if cell]
         assert list(p.C) == list(p.Cprime) == list(p.D) == live
+        d = p.to_json_dict()
+        assert list(d["C"]) == list(d["Cprime"]) == list(d["D"]) == [f"{i},{j}" for i, j in live]
+        assert json.dumps(_every_pair(d)) == json.dumps(ref.to_json_dict())
 
     a = tuple(bits(max_clique(g).witness))
     check(partition_for(g), _dense_partition(g, a))
@@ -148,9 +164,13 @@ def test_num_entries_count_vacuous_clauses(make, counts):
 
 def test_checks_at_the_vertex_limit(monkeypatch):
     """K[C5](102), n=510: 2 of the 20,706 cells are non-empty, and only those
-    are searched; the vacuous clauses of the rest are counted."""
+    are searched and listed; the vacuous clauses of the rest are counted."""
     g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
     p = partition_for(g)
+    d = p.to_json_dict()
+    assert len(p.C) == 2
+    assert list(d["C"]) == list(d["Cprime"]) == list(d["D"]) == [f"{i},{j}" for i, j in p.C]
+    assert len(json.dumps(d)) < 16 * 1024
     calls = {"find_induced": 0, "max_clique": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(gemfree.partition, name)):
@@ -297,6 +317,23 @@ def test_lemma_gem_runs_on_gem_itself():
     p = partition_for(gem)
     rep = check_lemma_gem(gem, p)
     assert rep.applicable  # clauses may fail outside the precondition
+
+
+def test_lemma_gem_splits_each_cell_once(monkeypatch):
+    """The P4 test and clauses (ii) and (iv) share one split of each cell into
+    components: `_components` runs once on each cell mask."""
+    g = schlafli_complement()
+    p = partition_for(g)
+    calls = {cell: 0 for (_, j), cell in p.C.items() if j >= 3}
+    assert [len(g.components(cell)) for cell in calls] == [4, 4]
+
+    def counted(adj, remaining, flip, _f=gemfree.graphs._components):
+        if remaining in calls:
+            calls[remaining] += 1
+        return _f(adj, remaining, flip)
+    monkeypatch.setattr(gemfree.graphs, "_components", counted)
+    assert check_lemma_gem(g, p).passed
+    assert list(calls.values()) == [1, 1]
 
 
 def test_schlafli_passes_all_checks():
