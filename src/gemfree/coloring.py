@@ -109,9 +109,7 @@ def color_cograph(g: Graph) -> Coloring:
 
 
 def _member_partition(g: Graph) -> WBCPartition:
-    """Shared colorer front end: the partition of a nonempty class member."""
-    if g.n < 1:
-        raise GraphError("coloring requires at least one vertex")
+    """Shared colorer front end: the partition of a class member."""
     member, witness = is_class_member(g)
     if not member:
         assert witness is not None
@@ -323,7 +321,7 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
     piece1 = 0  # (v_k u I_k for k >= 2) plus all cells with i >= 2
     for k in range(2, omega + 1):
         piece1 |= (1 << a[k - 1]) | p.I[k - 1]
-    piece2 = (1 << a[0]) | p.I[0]  # v_1 u I_1 plus cells C_{1,j}, j >= 3
+    piece2 = (1 << a[0]) | p.I[0] if a else 0  # v_1 u I_1 plus cells C_{1,j}, j >= 3
     for (i, j), cell in p.C.items():
         if i >= 2:
             piece1 |= cell

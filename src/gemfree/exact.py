@@ -2,7 +2,10 @@
 
 All solvers are exact and deterministic in their returned values; they are
 sized for the desk-scale instances this package cares about (n <= 64 for the
-chromatic search, n <= a few hundred for cliques).
+chromatic search, n <= a few hundred for cliques). Cliques are found on the
+true-twin quotient, each class weighted by its size, so a twin-rich input
+such as K[C5](102) (n = 510, five classes) is searched as a handful of
+vertices; a twin-free input has every weight 1 and keeps the plain search.
 
 When alpha(G) <= 2, chi(G) = n - nu(co-G), where nu is the size of a maximum
 matching: colour classes have at most two vertices, and the two-vertex classes
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Coloring, Graph, bits, first_occurrence_colors
+from .graphs import Coloring, Graph, _twin_classes, bits, first_occurrence_colors
 
 
 class SizeGuardError(ValueError):
@@ -35,49 +38,80 @@ class ChiResult:
     witness: Coloring
 
 
-def _greedy_color_bound(g: Graph, cand: int) -> int:
-    """Number of color classes a greedy partition of `cand` needs (clique upper bound)."""
-    classes = 0
-    remaining = cand
-    while remaining:
-        classes += 1
-        avail = remaining
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~g.adj[v] & ~(1 << v)
-            remaining &= ~(1 << v)
-    return classes
-
-
 def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
     """Clique number plus the lexicographically least maximum clique of <within>.
 
-    `within` is a vertex mask of G (default: all vertices). One branch and
-    bound over bitmask candidate sets. The depth-first search adds
-    candidates in ascending order, so it meets cliques in lexicographic order
-    of their ascending vertex lists; pruning never cuts a branch that could
-    beat the incumbent, and only a strictly larger clique replaces it. So the
-    first maximum clique met, which is the one kept, is the least.
+    `within` is a vertex mask of G (default: all vertices). The search runs
+    on the true-twin quotient of G[within] (`graphs._twin_classes`), whose
+    vertices are the class representatives, each weighted by its class size:
+
+    - A true twin of a clique vertex sees the rest of the clique, so every
+      maximum clique of G[within] is a union of whole classes, and omega is
+      the largest weight of a clique of representatives.
+    - One branch and bound over bitmask candidate sets. A candidate set is a
+      union of whole classes, so its least vertex is a representative, and
+      its weight is its bit count. A clique of classes is cut once its
+      weight plus the bound on its candidates cannot beat the best so far.
+      The bound colours the candidate representatives greedily, ascending,
+      and sums the largest weight in each colour class. A twin-free input
+      has every weight 1, so its search is the plain one.
+    - The depth-first search adds representatives in ascending order, so it
+      meets cliques of classes in lexicographic order of their ascending
+      representative lists. Two of equal weight never nest, so this is also
+      the order of the ascending vertex lists of their unions: the least
+      element of the symmetric difference of the unions is the least
+      vertex of a class in one clique and not in the other, a
+      representative. Pruning never cuts a branch that could beat the
+      incumbent, and only a strictly heavier clique replaces it. So the
+      first maximum clique met, which is the one kept, is the least.
     """
+    within = g.full_mask if within is None else within
+    classes = _twin_classes(g, within)
+    adj = g.adj
+    reps = 0
+    weight = [0] * g.n
+    for r, cls in classes.items():
+        reps |= 1 << r
+        weight[r] = cls.bit_count()
     best = 0
     witness = 0
+
+    def bound(cand: int) -> int:
+        """Sum over greedy colour classes of the candidate representatives
+        of the heaviest weight in each."""
+        total = 0
+        remaining = cand & reps
+        while remaining:
+            heaviest = 0
+            avail = remaining
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~(adj[v] | low)
+                remaining ^= low
+                if weight[v] > heaviest:
+                    heaviest = weight[v]
+            total += heaviest
+        return total
 
     def expand(size: int, clique: int, cand: int) -> None:
         nonlocal best, witness
         while cand:
-            if size + _greedy_color_bound(g, cand) <= best:
+            if size + bound(cand) <= best:
                 return
             v = (cand & -cand).bit_length() - 1
-            cand &= ~(1 << v)
-            new = cand & g.adj[v]
-            if size + 1 + new.bit_count() > best:
+            cls = classes[v]
+            cand &= ~cls
+            new = cand & adj[v]
+            grown = size + weight[v]
+            if grown + new.bit_count() > best:
                 if new:
-                    expand(size + 1, clique | 1 << v, new)
+                    expand(grown, clique | cls, new)
                 else:
-                    best = size + 1
-                    witness = clique | 1 << v
+                    best = grown
+                    witness = clique | cls
 
-    expand(0, 0, g.full_mask if within is None else within)
+    expand(0, 0, within)
     return CliqueResult(best, witness)
 
 

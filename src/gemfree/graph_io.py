@@ -6,7 +6,7 @@ import io
 import json
 from pathlib import Path
 
-from .graphs import Graph, GraphError, _check_vertex_count, build_graph
+from .graphs import Graph, GraphError, _check_vertex_count, _trusted_graph
 
 
 def _int(token: str, lineno: int, line: str) -> int:
@@ -23,6 +23,15 @@ def _bad_edge(u: int, v: int, n: int, base: int) -> str | None:
     if base <= u < end and base <= v < end:
         return f"self-loop at vertex {u}" if u == v else None
     return f"endpoint {v if base <= u < end else u} outside {base}..{end - 1}"
+
+
+def _graph(n: int, edges: list[tuple[int, int]], name: str) -> Graph:
+    """The graph of edges the reader has already checked, each naming its line."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _trusted_graph(n, tuple(adj), name)
 
 
 def parse_dimacs(text: str, name: str = "") -> Graph:
@@ -56,7 +65,7 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
         raise GraphError("missing DIMACS header")
     if len(edges) != m:
         raise GraphError(f"expected {m} edge lines, found {len(edges)}")
-    return build_graph(n, edges, name)
+    return _graph(n, edges, name)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -90,7 +99,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
         if problem := _bad_edge(u, v, n, 0):
             raise GraphError(f"{problem} on line {lineno}: {ln!r}")
         edges.append((u, v))
-    return build_graph(n, edges, name)
+    return _graph(n, edges, name)
 
 
 def to_edgelist(g: Graph) -> str:
@@ -128,7 +137,7 @@ def parse_json_graph(text: str, name: str = "") -> Graph:
     name = data.get("name", name)
     if not isinstance(name, str):
         raise GraphError(f"bad JSON graph object: name must be a string, got {name!r}")
-    return build_graph(n, edges, name)
+    return _graph(n, edges, name)
 
 
 def to_json_graph(g: Graph) -> str:

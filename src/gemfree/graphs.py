@@ -115,6 +115,16 @@ class Graph:
         return True
 
 
+def _trusted_graph(n: int, adj: tuple[int, ...], name: str = "") -> Graph:
+    """`Graph(n, adj, name)` for rows that are in range, loop-free and
+    symmetric by construction: only the vertex count is checked, as a join or
+    a disjoint union can exceed it."""
+    _check_vertex_count(n)
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj, name=name)
+    return g
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
     """Graph from an edge list; duplicates collapse, endpoints validated."""
     _check_vertex_count(n)
@@ -126,18 +136,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
             raise GraphError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), name)
+    return _trusted_graph(n, tuple(adj), name)
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, adj, f"co-{g.name}" if g.name else "")
+    return _trusted_graph(g.n, adj, f"co-{g.name}" if g.name else "")
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(g1.n + g2.n, tuple(adj))
+    return _trusted_graph(g1.n + g2.n, tuple(adj))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -145,7 +155,24 @@ def join(g1: Graph, g2: Graph) -> Graph:
     right_full = ((1 << g2.n) - 1) << g1.n
     adj = [row | right_full for row in g1.adj]
     adj += [(row << g1.n) | left_full for row in g2.adj]
-    return Graph(g1.n + g2.n, tuple(adj))
+    return _trusted_graph(g1.n + g2.n, tuple(adj))
+
+
+def _twin_classes(g: Graph, mask: int) -> dict[int, int]:
+    """The true-twin classes of <mask>: {least vertex: class mask}, ascending.
+
+    Two vertices of <mask> are true twins when their closed neighbourhoods
+    inside <mask> are equal. Classes of G can merge inside a mask: vertices
+    told apart only by vertices outside it share a class of <mask>.
+    """
+    first: dict[int, int] = {}  # closed neighbourhood inside <mask> -> least vertex
+    classes: dict[int, int] = {}
+    adj = g.adj
+    # walking a range is cheaper than walking the bits of a full mask
+    for v in range(g.n) if mask == g.full_mask else bits(mask):
+        r = first.setdefault(adj[v] & mask | 1 << v, v)
+        classes[r] = classes.get(r, 0) | 1 << v
+    return classes
 
 
 def cograph_coloring(g: Graph, mask: int, colors: list[int], base: int = 0) -> int | None:

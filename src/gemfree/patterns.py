@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, build_graph, cograph_coloring, disjoint_union, join
+from .graphs import Graph, _twin_classes, bits, build_graph, cograph_coloring, disjoint_union, join
 
 MAX_PATTERN = 8
 
@@ -75,14 +75,18 @@ class Pattern:
             raise PatternError(f"pattern {self.name!r} has more than {MAX_PATTERN} vertices")
 
 
+# built once: membership resolves its family on every call
+_CATALOGUE = {key: Pattern(key, g) for key, g in NAMED_PATTERNS.items()}
+
+
 def pattern(name_or_graph: str | Graph) -> Pattern:
     """Resolve a pattern by catalogue name (case-insensitive) or explicit graph."""
     if isinstance(name_or_graph, Graph):
         return Pattern(name_or_graph.name or "custom", name_or_graph)
     key = name_or_graph.lower()
-    if key not in NAMED_PATTERNS:
+    if key not in _CATALOGUE:
         raise PatternError(f"unknown pattern name {name_or_graph!r}")
-    return Pattern(key, NAMED_PATTERNS[key])
+    return _CATALOGUE[key]
 
 
 @dataclass(frozen=True)
@@ -166,11 +170,15 @@ def is_class_member(
         pat = f if isinstance(f, Pattern) else pattern(f)
         is_gem = pat.graph.adj == NAMED_PATTERNS["gem"].adj
         if is_gem or pat.graph.adj == NAMED_PATTERNS["p3up2"].adj:
-            twins = twins or _true_twins(host)
-            reps, multi, seconds = twins
+            twins = twins or _quotient(host)
+            classes, reps, multi = twins
             if is_gem:
-                w = _gem_witness(host, reps, pat.name)
-            elif _has_p3up2(host, reps, multi):
+                w = _gem_witness(host, classes, reps, pat.name)
+            elif _has_p3up2(host, classes, reps, multi):
+                seconds = 0  # the second least vertex of each class of two or more
+                for cls in classes.values():
+                    rest = cls & (cls - 1)
+                    seconds |= rest & -rest
                 w = find_induced(host, pat, reps | seconds)
             else:
                 w = None
@@ -181,44 +189,43 @@ def is_class_member(
     return True, None
 
 
-def _true_twins(host: Graph) -> tuple[int, int, int]:
-    """(reps, multi, seconds): the least vertex of each true-twin class, the
-    representatives whose class has two or more vertices, and the second
-    least vertex of each such class."""
-    first: dict[int, int] = {}
-    reps = multi = seconds = 0
-    for v, row in enumerate(host.adj):
-        r = first.setdefault(row | 1 << v, v)
-        if r == v:
-            reps |= 1 << v
-        elif not multi >> r & 1:
+def _quotient(host: Graph) -> tuple[dict[int, int], int, int]:
+    """(classes, reps, multi): the host's true-twin classes, their
+    representatives (least vertices), and the representatives whose class
+    has two or more vertices."""
+    classes = _twin_classes(host, host.full_mask)
+    reps = multi = 0
+    for r, cls in classes.items():
+        reps |= 1 << r
+        if cls & (cls - 1):
             multi |= 1 << r
-            seconds |= 1 << v
-    return reps, multi, seconds
+    return classes, reps, multi
 
 
-def _gem_witness(host: Graph, reps: int, name: str) -> PatternWitness | None:
+def _gem_witness(host: Graph, classes: dict[int, int], reps: int,
+                 name: str) -> PatternWitness | None:
     """The lex-least gem: the least v with a P4 in N(v), then the lex-least
     such P4. Both lie among the representatives: a P4 in N(v) has no twin of
     v (it would see the other three) nor two twins of each other, twins have
     isomorphic N(v), and trading a vertex for its representative keeps a P4
-    and lowers the tuple."""
-    for v in bits(reps):
+    and lowers the tuple. The representatives are walked as the keys of
+    `classes`, ascending, which is cheaper than walking the bits of `reps`."""
+    for v in classes:
         row = host.adj[v] & reps
         if not is_p4_free(host, row):
             return PatternWitness(name, (v,) + find_induced(host, "p4", row).embedding)
     return None
 
 
-def _has_p3up2(host: Graph, reps: int, multi: int) -> bool:
-    """P3 u P2 test on the quotient with representatives `reps`; `multi` are
-    those with a twin. The host has a P3 u P2 iff some edge uv inside `reps`
+def _has_p3up2(host: Graph, classes: dict[int, int], reps: int, multi: int) -> bool:
+    """P3 u P2 test on the quotient with representatives `reps` (walked as
+    the keys of `classes`); `multi` are those with a twin. The host has a P3 u P2 iff some edge uv inside `reps`
     leaves a P3 in reps - (N[u] u N[v]), or some u in `multi` (whose twin
     makes uu' a P2) leaves one in reps - N[u]. That last set contains what
     every edge at u leaves, and P3-freeness is hereditary, so only edges
     between twinless representatives are tried."""
     single = reps & ~multi
-    for u in bits(reps):
+    for u in classes:
         outside_u = reps & ~(host.adj[u] | 1 << u)
         if multi >> u & 1:
             if not is_p3_free(host, outside_u):

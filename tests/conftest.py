@@ -58,6 +58,42 @@ def dsatur_chi(g):
     return k
 
 
+def reference_max_clique(g, within=None):
+    """(omega, witness) by the plain branch and bound over the vertices of
+    `within`, kept as the oracle for `max_clique`'s search on the twin
+    quotient: cliques met in lexicographic order, the greedy colour-class
+    count as the bound, and only a strictly larger clique kept."""
+    best = witness = 0
+
+    def color_bound(cand):
+        classes = 0
+        while cand:
+            classes += 1
+            avail = cand
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~g.adj[v] & ~(1 << v)
+                cand &= ~(1 << v)
+        return classes
+
+    def expand(size, clique, cand):
+        nonlocal best, witness
+        while cand:
+            if size + color_bound(cand) <= best:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= ~(1 << v)
+            new = cand & g.adj[v]
+            if size + 1 + new.bit_count() > best:
+                if new:
+                    expand(size + 1, clique | 1 << v, new)
+                else:
+                    best, witness = size + 1, clique | 1 << v
+
+    expand(0, 0, g.full_mask if within is None else within)
+    return best, witness
+
+
 def case21_graph():
     """omega=4 member engineered to hit the shared-pool case (|D1 n D2| >= 2)."""
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -86,6 +86,20 @@ def test_color_two_omega(files, capsys):
     assert rep["trace"]["case"] == "omega<=2"
 
 
+@pytest.mark.parametrize("algorithm", ["two-omega", "three-omega", "greedy", "exact"])
+def test_color_the_empty_graph(algorithm, tmp_path, capsys):
+    # check calls it a member and chi colours it with 0 colours: so does color
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    code, out = run(capsys, "color", str(path), "--algorithm", algorithm)
+    rep = json.loads(out)
+    assert code == 0 and rep["verified"] is True
+    assert (rep["omega"], rep["num_colors"], rep["colors"]) == (0, 0, {})
+    assert rep["bound"] == {"two-omega": 0, "three-omega": 1}.get(algorithm)
+    if algorithm == "two-omega":
+        assert (rep["trace"]["A"], rep["trace"]["case"]) == ([], "omega<=2")
+
+
 def _count_max_clique(monkeypatch):
     calls = []
 

@@ -382,9 +382,11 @@ def test_member_minus_a_vertex_certifies_within_two_omega(member, data):
     assert col.num_colors <= 2 * max_clique(h).omega
 
 
-def test_coloring_requires_vertices():
-    with pytest.raises(GraphError):
-        color_two_omega(build_graph(0, []))
+def test_colorers_color_the_empty_graph():
+    empty = build_graph(0, [])
+    col, trace = color_two_omega(empty)
+    assert col.colors == () and (trace.A, trace.case, trace.verified) == ((), "omega<=2", True)
+    assert color_three_omega(empty).colors == ()
 
 
 @pytest.mark.parametrize("algorithm,colorer,step,stub", [

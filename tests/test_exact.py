@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -18,13 +19,22 @@ from gemfree.generators import (
     ExpansionSpec,
     complete_expansion,
     groetzsch_graph,
+    random_class_member,
     schlafli_complement,
 )
 from gemfree.graphs import bits, build_graph, complement, first_occurrence_colors, mask_of
 from gemfree.patterns import complete_graph, cycle_graph
 from gemfree.suite import _exhaustive_chi
 
-from conftest import alpha2_graphs, delete_vertex, dsatur_chi, small_graphs, to_nx
+from conftest import (
+    alpha2_graphs,
+    delete_vertex,
+    dsatur_chi,
+    reference_max_clique,
+    relabel,
+    small_graphs,
+    to_nx,
+)
 
 
 def test_max_clique_k4():
@@ -64,6 +74,42 @@ def test_max_clique_witness_is_maximal_clique(g, mask):
                  for c in itertools.combinations(inside, k) if g.is_clique(mask_of(c)))
     r = max_clique(g, mask)
     assert (r.omega, r.witness) == (least.bit_count(), least)
+
+
+def _assert_matches_reference(g, within=None):
+    r = max_clique(g, within)
+    assert (r.omega, r.witness) == reference_max_clique(g, within)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(max_n=6), st.data())
+def test_max_clique_matches_reference_on_twin_blowups(base, data):
+    # each base vertex a clique of 1..4 true twins, the labels shuffled so that
+    # twins interleave, searched whole and inside a drawn vertex mask
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=base.n, max_size=base.n))
+    g = complete_expansion(ExpansionSpec(base, tuple(sizes)))
+    g = relabel(g, data.draw(st.permutations(range(g.n))))
+    _assert_matches_reference(g)
+    _assert_matches_reference(g, data.draw(st.integers(0, g.full_mask)))
+
+
+def test_max_clique_matches_reference_on_atlas():
+    rng = random.Random(0)
+    for h in nx.graph_atlas_g():
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        for within in (None, *(rng.getrandbits(g.n) for _ in range(4))):
+            _assert_matches_reference(g, within)
+
+
+@pytest.mark.parametrize("strategy", ["expand", "prune"])
+@pytest.mark.parametrize("n", [60, 250, 510])
+def test_max_clique_matches_reference_on_large_members(strategy, n):
+    g = random_class_member(n, 1, strategy)  # seed 0 expands K1 at n = 510: a clique
+    rng = random.Random(n)
+    _assert_matches_reference(g)
+    _assert_matches_reference(g, rng.getrandbits(n))
+    if n < 510:  # the reference takes a quarter second at n = 510
+        _assert_matches_reference(relabel(g, rng.sample(range(n), n)))
 
 
 def test_independence_numbers():

@@ -11,6 +11,7 @@ from gemfree.graphs import (
     Coloring,
     Graph,
     GraphError,
+    _twin_classes,
     bits,
     build_graph,
     cograph_coloring,
@@ -145,6 +146,44 @@ def test_coloring_num_colors_is_largest_color():
 def test_graph_rejects_malformed_rows(n, adj, message):
     with pytest.raises(GraphError, match=message):
         Graph(n, adj)
+
+
+@given(small_graphs(min_n=0, max_n=6), small_graphs(min_n=0, max_n=6))
+def test_unchecked_constructions_pass_every_check(g1, g2):
+    # build_graph, complement, join and disjoint_union skip the row checks
+    for g in (g1, complement(g1), join(g1, g2), disjoint_union(g1, g2)):
+        assert Graph(g.n, g.adj, g.name) == g
+
+
+def test_twin_classes_merge_inside_a_mask():
+    # in P4 0-1-2-3 only the ends tell 1 and 2 apart
+    p4 = path_graph(4)
+    assert _twin_classes(p4, p4.full_mask) == {0: 0b0001, 1: 0b0010, 2: 0b0100, 3: 0b1000}
+    assert _twin_classes(p4, 0b0110) == {1: 0b0110}
+    assert _twin_classes(p4, 0b1110) == {1: 0b0010, 2: 0b0100, 3: 0b1000}
+    assert _twin_classes(p4, 0) == {}
+    # K[C5](2), bag i = {2i, 2i+1}: five classes of G. Two adjacent bags
+    # merge once the bags that told them apart are left out
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (2,) * 5))
+    assert _twin_classes(g, g.full_mask) == {2 * i: 0b11 << 2 * i for i in range(5)}
+    assert _twin_classes(g, 0b1111) == {0: 0b1111}
+    assert _twin_classes(g, 0b111111) == {0: 0b11, 2: 0b1100, 4: 0b110000}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_n=0, max_n=9), st.data())
+def test_twin_classes_are_the_closed_neighbourhood_classes(g, data):
+    mask = data.draw(st.integers(0, g.full_mask))
+    classes = _twin_classes(g, mask)
+    assert list(classes) == sorted(classes)
+    assert sum(classes.values()) == mask  # disjoint, and covering the mask
+    for r, cls in classes.items():
+        assert cls & -cls == 1 << r
+    closed = {v: g.adj[v] & mask | 1 << v for v in bits(mask)}
+    class_of = {v: r for r, cls in classes.items() for v in bits(cls)}
+    for u in bits(mask):
+        for v in bits(mask):
+            assert (class_of[u] == class_of[v]) == (closed[u] == closed[v])
 
 
 def test_coloring_rejects_nonpositive():

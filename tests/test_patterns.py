@@ -19,6 +19,7 @@ from gemfree.patterns import (
     PatternError,
     PatternWitness,
     _components_if_cliques,
+    _quotient,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -240,6 +241,33 @@ def test_membership_matches_pattern_search_on_atlas(family):
     for h in atlas:
         g = build_graph(h.number_of_nodes(), list(h.edges()))
         assert is_class_member(g, forbidden) == _searched_membership(g, forbidden), list(h.edges())
+
+
+def _closed_neighbourhood_quotient(host):
+    """(reps, multi, seconds) from one pass over the rows: the least vertex of
+    each class of equal closed neighbourhoods, those with a twin, and the
+    second least vertex of each such class."""
+    first = {}
+    reps = multi = seconds = 0
+    for v, row in enumerate(host.adj):
+        r = first.setdefault(row | 1 << v, v)
+        if r == v:
+            reps |= 1 << v
+        elif not multi >> r & 1:
+            multi |= 1 << r
+            seconds |= 1 << v
+    return reps, multi, seconds
+
+
+def test_membership_quotient_on_atlas_and_blowups():
+    # membership reads graphs._twin_classes with the whole vertex set as mask
+    graphs = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs += [complete_expansion(ExpansionSpec(g, (3, 1, 2, 1, 3, 2, 1)[:g.n]))
+               for g in graphs if g.n]
+    for g in graphs:
+        classes, reps, multi = _quotient(g)
+        seconds = sum((cls & (cls - 1)) & -(cls & (cls - 1)) for cls in classes.values())
+        assert (reps, multi, seconds) == _closed_neighbourhood_quotient(g)
 
 
 def _gem_only_c5_expansion():
