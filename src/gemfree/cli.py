@@ -23,7 +23,7 @@ from .coloring import (
     greedy_coloring,
     verify_proper,
 )
-from .exact import chromatic_number, max_clique
+from .exact import EXACT_MAX_N, chromatic_number, max_clique
 from .generators import (
     STRATEGIES,
     ExpansionSpec,
@@ -103,7 +103,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         if args.algorithm == "greedy":
             coloring = greedy_coloring(g)
         else:
-            coloring = chromatic_number(g, max_n=getattr(args, "max_n", 64)).witness
+            coloring = chromatic_number(g, max_n=getattr(args, "max_n", EXACT_MAX_N)).witness
         verified = verify_proper(g, coloring)[0]
         omega = max_clique(g).omega
         bound = None
@@ -230,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("two-omega", "three-omega", "greedy", "exact"),
                    default="two-omega")
     p.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
-                   help="exact only (default 64)")
+                   help=f"exact only (default {EXACT_MAX_N})")
 
     p = sub.add_parser("chi", help="exact chromatic number")
     add_input(p)
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=int, default=EXACT_MAX_N)
 
     p = sub.add_parser("partition", help="clique-relative partition + lemma reports")
     add_input(p)

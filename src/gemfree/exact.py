@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from .graphs import Coloring, Graph, _twin_classes, bits, first_occurrence_colors
 
 
+EXACT_MAX_N = 64  # default guardrail of `chromatic_number`: larger inputs are refused
+
+
 class SizeGuardError(ValueError):
     """Instance exceeds the exactness guardrail."""
 
@@ -283,7 +286,7 @@ def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
                 queue.append(mate[to])
 
 
-def chromatic_number(g: Graph, max_n: int = 64) -> ChiResult:
+def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
     """Exact chromatic number with an optimal coloring witness.
 
     Refuses instances larger than `max_n`, whatever their structure. When

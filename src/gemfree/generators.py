@@ -236,6 +236,8 @@ def class_corpus(count: int = 200, n_range: tuple[int, int] = (5, 14),
     pruning, so the corpus mixes sparse members with omega >= 3 structure.
     """
     lo, hi = n_range
+    if lo > hi:
+        raise GraphError(f"empty size range n_range={n_range}: min {lo} > max {hi}")
     sizes = list(range(lo, hi + 1))
     corpus: list[Graph] = []
     i = 0

@@ -15,15 +15,15 @@ position.
 The checkers turn the structural statements that hold for (P3 u P2)-free /
 gem-free / class-member graphs into executable predicates with machine-readable
 reports; on class members every clause must pass. They walk the non-empty
-cells only: the clauses an empty cell makes vacuously true are counted in
-`CheckReport.vacuous`, and so in `num_entries`, without being built.
+cells only: a clause about an absent cell holds vacuously and is neither built
+nor counted, so a report's `num_entries` counts the clauses checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .exact import max_clique
 from .graphs import Graph, bits, mask_of
@@ -114,7 +114,6 @@ class CheckReport:
     applicable: bool
     entries: tuple[CheckEntry, ...] = ()
     reason: str = ""
-    vacuous: int = 0  # clauses vacuously true on empty cells: counted, not built
 
     @property
     def passed(self) -> bool:
@@ -133,7 +132,7 @@ class CheckReport:
                 {"clause": e.clause, "bindings": e.bindings, "witness": e.witness}
                 for e in self.failures()
             ],
-            "num_entries": len(self.entries) + self.vacuous,
+            "num_entries": len(self.entries),
         }
 
 
@@ -141,13 +140,6 @@ def _entry(clause: str, bindings: dict[str, Any], witness: Iterable[int]) -> Che
     """A clause holds iff its witness (offending vertices or first pair) is empty."""
     w = tuple(witness)
     return CheckEntry(clause, bindings, not w, w or None)
-
-
-def _vacuous(p: WBCPartition, jmin: int, per_cell: Callable[[int], int]) -> int:
-    """Clauses the empty cells (i, j) with j >= jmin make vacuously true, at
-    `per_cell(j)` each: those of every such pair less those of the non-empty cells."""
-    every = sum((j - 1) * per_cell(j) for j in range(jmin, p.omega + 1))  # j-1 pairs end at j
-    return every - sum(per_cell(j) for _, j in p.C if j >= jmin)
 
 
 def _first_pair(g: Graph, s: int, t: int, flip: int) -> tuple[int, ...]:
@@ -172,7 +164,7 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
             entries.append(_entry("fact1.ii", {"i": i, "j": j, "a": a}, bad))
-    return CheckReport("fact1", True, tuple(entries), vacuous=_vacuous(p, 2, lambda j: 1))
+    return CheckReport("fact1", True, tuple(entries))
 
 
 def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
@@ -209,8 +201,7 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
                 if not g.has_edge(a, p.A[ell - 1]):
                     entries.append(_entry("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
                                           bits(g.adj[a] & p.I[ell - 1])))
-    return CheckReport("lemma_gem", True, tuple(entries),
-                       vacuous=_vacuous(p, 3, lambda j: 1))  # lemma_gem.i
+    return CheckReport("lemma_gem", True, tuple(entries))
 
 
 def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
@@ -246,30 +237,31 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
             {"i": i, "j": j, "omega_Cprime": wc, "D_size": len(p.D[(i, j)])},
             wc <= len(p.D[(i, j)]),
         ))
-        # (iii) and (iv) share the later cells of both rows and, for j >= 4, the column
-        later = [other for ell in range(j + 1, omega + 1) for other in ((i, ell), (j, ell))]
-        column = [(k, j) for k in range(1, j) if k != i] if j >= 4 else []
+        # (iii) and (iv) share the later cells of both rows and, for j >= 4, the column;
+        # a clause about an absent cell holds vacuously, so only cells in p.C are checked
+        later = [other for ell in range(j + 1, omega + 1) for other in ((i, ell), (j, ell))
+                 if other in p.C]
+        column = [(k, j) for k in range(1, j) if k != i and (k, j) in p.C] if j >= 4 else []
         for other in later:
             entries.append(_entry("lemma_class.iii", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C.get(other, 0), 0)))
+                                  _first_pair(g, cell, p.C[other], 0)))
         for other in column:
             entries.append(_entry("lemma_class.iii-column", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C.get(other, 0), 0)))
+                                  _first_pair(g, cell, p.C[other], 0)))
         if cp:
             for other in later:
                 entries.append(_entry("lemma_class.iv", {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C.get(other, 0))))
+                                      bits(p.C[other])))
             for ell in range(max(3, i + 1), j):
-                entries.append(_entry("lemma_class.iv",
-                                      {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
-                                      bits(p.Cprime.get((i, ell), 0))))
+                if (i, ell) in p.C:
+                    entries.append(_entry("lemma_class.iv",
+                                          {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
+                                          bits(p.Cprime[(i, ell)])))
             for other in column:
                 entries.append(_entry("lemma_class.iv-column",
                                       {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C.get(other, 0))))
-    # an empty cell's (ii), and its (iii) against the later cells and, for j >= 4, the column
-    vacuous = _vacuous(p, 3, lambda j: 1 + 2 * (omega - j) + (j - 2 if j >= 4 else 0))
-    return CheckReport("lemma_class", True, tuple(entries), vacuous=vacuous)
+                                      bits(p.C[other])))
+    return CheckReport("lemma_class", True, tuple(entries))
 
 
 def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:

@@ -21,6 +21,7 @@ from gemfree.coloring import (
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
+    class_corpus,
     complete_expansion,
     groetzsch_graph,
     random_class_member,
@@ -269,6 +270,13 @@ def test_case21_cells_are_cliques_on_template_draws():
 def test_c12_components_stay_below_omega_on_template_draws():
     tight = [_check_case_lemmas(g)[1] for g in template_members(3, (1, 2), 2000, seed=0)]
     assert sum(tight) >= 20
+
+
+def test_generated_corpus_fires_every_case_but_case21():
+    """The seeded corpus reaches every proof case of the 2*omega colourer
+    except Case 2.1, which the template draws above cover."""
+    fired = {color_two_omega(g)[1].case for g in class_corpus(count=200, seed=0)}
+    assert {"omega<=2", "Case1", "Case2-simple", "Case2.2"} <= fired
 
 
 def test_case21_certifies_single_clique_cells():

@@ -151,3 +151,8 @@ def test_corpus_all_members():
     assert len(corpus) == 30
     assert all(is_class_member(g)[0] for g in corpus)
     assert all(5 <= g.n <= 10 for g in corpus)
+
+
+def test_corpus_refuses_empty_size_range():
+    with pytest.raises(GraphError, match=r"empty size range n_range=\(10, 5\)"):
+        class_corpus(n_range=(10, 5))

@@ -7,14 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, *args):
+def _proc(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run(script, *args):
+    proc = _proc(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -33,3 +39,11 @@ def test_tightness_search_reports_its_best_gap():
     best = last["best"]
     assert set(best) == {"n", "omega", "chi", "gap_to_2omega"}
     assert best["gap_to_2omega"] == 2 * best["omega"] - best["chi"] >= 0
+
+
+@pytest.mark.parametrize("lo,hi", [(9, 8), (12, 8)])
+def test_tightness_search_refuses_empty_size_range(lo, hi):
+    proc = _proc("tightness_search.py", "--count", "5", "--min-n", str(lo), "--max-n", str(hi))
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"empty size range: --min-n {lo} > --max-n {hi}" in proc.stderr
+    assert "Traceback" not in proc.stderr
