@@ -10,7 +10,7 @@ No result is promised; this is exploration, not an acceptance criterion.
 import argparse
 import json
 
-from gemfree.exact import chromatic_number, max_clique
+from gemfree.exact import EXACT_MAX_N, chromatic_number, max_clique
 from gemfree.generators import random_class_member, SamplingError
 from gemfree.graph_io import to_json_graph
 
@@ -24,6 +24,10 @@ def main() -> None:
     args = ap.parse_args()
     if args.min_n > args.max_n:
         ap.error(f"empty size range: --min-n {args.min_n} > --max-n {args.max_n}")
+    if args.min_n < 1:
+        ap.error(f"--min-n {args.min_n} is below 1")
+    if args.max_n > EXACT_MAX_N:
+        ap.error(f"--max-n {args.max_n} exceeds the exact-chi limit {EXACT_MAX_N}")
 
     best = None
     seen = 0

@@ -147,94 +147,84 @@ def is_class_member(
 ) -> tuple[bool, PatternWitness | None]:
     """F-freeness for a family of forbidden patterns; first witness on failure.
 
-    Patterns are tried in family order. The catalogue gem and P3 u P2 are
-    decided structurally on the true-twin quotient (one representative, the
-    least vertex, per class of vertices with equal closed neighbourhoods), and
-    `find_induced` runs only to name their witness:
-
-    - the gem is K1 joined to P4, with the apex as pattern vertex 0, and has
-      no true twins, so the host has a gem iff some representative v has a
-      P4 among the representatives in N(v); the lex-least gem is the least
-      such v followed by the lex-least P4 there, both the same as in the
-      whole host;
-    - only the P2 of a P3 u P2 is a pair of true twins, so the host has one
-      iff some edge uv of representatives leaves a P3 among the
-      representatives outside N[u] u N[v], or some representative u with a
-      twin leaves one outside N[u]. Trading a vertex for a smaller twin
-      keeps a P3 u P2 and lowers the tuple unless it is the P2's twin, so
-      the lex-least one lies among the representatives and the second least
-      vertex of each class.
+    Patterns are tried in family order. A pattern with the adjacency of the
+    catalogue gem or P3 u P2 goes to its witness function, which decides it
+    on the true-twin quotient (one representative, the least vertex, per
+    class of vertices with equal closed neighbourhoods) and runs
+    `find_induced` only to name the lex-least witness. Any other pattern is
+    searched with `find_induced`.
     """
-    twins = None
+    classes = None
     for f in forbidden:
         pat = f if isinstance(f, Pattern) else pattern(f)
-        is_gem = pat.graph.adj == NAMED_PATTERNS["gem"].adj
-        if is_gem or pat.graph.adj == NAMED_PATTERNS["p3up2"].adj:
-            twins = twins or _quotient(host)
-            classes, reps, multi = twins
-            if is_gem:
-                w = _gem_witness(host, classes, reps, pat.name)
-            elif _has_p3up2(host, classes, reps, multi):
-                seconds = 0  # the second least vertex of each class of two or more
-                for cls in classes.values():
-                    rest = cls & (cls - 1)
-                    seconds |= rest & -rest
-                w = find_induced(host, pat, reps | seconds)
-            else:
-                w = None
-        else:
+        witness = _STRUCTURAL.get(pat.graph.adj)
+        if witness is None:
             w = find_induced(host, pat)
+        else:
+            if classes is None:
+                classes = _twin_classes(host, host.full_mask)
+                reps = 0
+                for r in classes:
+                    reps |= 1 << r
+            w = witness(host, classes, reps, pat)
         if w is not None:
             return False, w
     return True, None
 
 
-def _quotient(host: Graph) -> tuple[dict[int, int], int, int]:
-    """(classes, reps, multi): the host's true-twin classes, their
-    representatives (least vertices), and the representatives whose class
-    has two or more vertices."""
-    classes = _twin_classes(host, host.full_mask)
-    reps = multi = 0
-    for r, cls in classes.items():
-        reps |= 1 << r
-        if cls & (cls - 1):
-            multi |= 1 << r
-    return classes, reps, multi
-
-
 def _gem_witness(host: Graph, classes: dict[int, int], reps: int,
-                 name: str) -> PatternWitness | None:
-    """The lex-least gem: the least v with a P4 in N(v), then the lex-least
-    such P4. Both lie among the representatives: a P4 in N(v) has no twin of
-    v (it would see the other three) nor two twins of each other, twins have
-    isomorphic N(v), and trading a vertex for its representative keeps a P4
-    and lowers the tuple. The representatives are walked as the keys of
-    `classes`, ascending, which is cheaper than walking the bits of `reps`."""
+                 pat: Pattern) -> PatternWitness | None:
+    """The lex-least gem (K1 joined to P4, the apex as pattern vertex 0): the
+    least v with a P4 in N(v), then the lex-least such P4. Both lie among the
+    representatives `reps`: a P4 in N(v) has no twin of v (it would see the
+    other three) nor two twins of each other, twins have isomorphic N(v), and
+    trading a vertex for its representative keeps a P4 and lowers the tuple.
+    The representatives are walked as the keys of `classes`, ascending,
+    which is cheaper than walking the bits of `reps`."""
     for v in classes:
         row = host.adj[v] & reps
         if not is_p4_free(host, row):
-            return PatternWitness(name, (v,) + find_induced(host, "p4", row).embedding)
+            return PatternWitness(pat.name, (v,) + find_induced(host, "p4", row).embedding)
     return None
 
 
-def _has_p3up2(host: Graph, classes: dict[int, int], reps: int, multi: int) -> bool:
-    """P3 u P2 test on the quotient with representatives `reps` (walked as
-    the keys of `classes`); `multi` are those with a twin. The host has a P3 u P2 iff some edge uv inside `reps`
-    leaves a P3 in reps - (N[u] u N[v]), or some u in `multi` (whose twin
-    makes uu' a P2) leaves one in reps - N[u]. That last set contains what
-    every edge at u leaves, and P3-freeness is hereditary, so only edges
-    between twinless representatives are tried."""
-    single = reps & ~multi
-    for u in classes:
+def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int,
+                   pat: Pattern) -> PatternWitness | None:
+    """The lex-least P3 u P2. Only its P2 can be a pair of true twins, so the
+    host has one iff some edge uv inside `reps` leaves a P3 in
+    reps - (N[u] u N[v]), or some u with a twin (which makes uu' a P2) leaves
+    one in reps - N[u]. That last set contains what every edge at u leaves,
+    and P3-freeness is hereditary, so only edges between twinless
+    representatives are tried, each from its larger end. Trading a vertex for a smaller twin keeps a
+    P3 u P2 and lowers the tuple unless it is the P2's twin, so the lex-least
+    one lies among the representatives and the second least vertex of each
+    class."""
+    single = 0  # the twinless representatives below u
+    for u, cls in classes.items():
         outside_u = reps & ~(host.adj[u] | 1 << u)
-        if multi >> u & 1:
-            if not is_p3_free(host, outside_u):
-                return True
-            continue
-        for v in bits((host.adj[u] & single) >> (u + 1) << (u + 1)):
-            if not is_p3_free(host, outside_u & ~host.adj[v]):
-                return True
-    return False
+        if cls != 1 << u:
+            found = not is_p3_free(host, outside_u)
+        else:
+            found = not all(is_p3_free(host, outside_u & ~host.adj[v])
+                            for v in bits(host.adj[u] & single))
+            single |= cls
+        if found:
+            break
+    else:
+        return None
+    seconds = 0
+    for cls in classes.values():
+        rest = cls & (cls - 1)
+        seconds |= rest & -rest
+    return find_induced(host, pat, reps | seconds)
+
+
+# the witness function of each structural pattern, keyed by its catalogue
+# adjacency, so that a renamed copy of the pattern is decided the same way
+_STRUCTURAL = {
+    NAMED_PATTERNS["gem"].adj: _gem_witness,
+    NAMED_PATTERNS["p3up2"].adj: _p3up2_witness,
+}
 
 
 def is_p3_free(g: Graph, within: int | None = None) -> bool:

@@ -123,7 +123,7 @@ def criterion_4_theorem_bound(seed: int = 0, size_budget: int = 200) -> Criterio
     corpus = _corpus(seed, size_budget)
     if not corpus:
         return CriterionResult(4, "theorem bound on sampled corpus", True,
-                               {"note": "skipped: size budget 0"}, skipped=True)
+                               {"note": f"skipped: size budget {size_budget}"}, skipped=True)
     failures = []
     for i, g in enumerate(corpus):
         col, trace = color_two_omega(g)
@@ -141,7 +141,7 @@ def criterion_5_proposition_bound(seed: int = 0, size_budget: int = 200) -> Crit
     corpus = _corpus(seed, size_budget)
     if not corpus:
         return CriterionResult(5, "proposition bound on sampled corpus", True,
-                               {"note": "skipped: size budget 0"}, skipped=True)
+                               {"note": f"skipped: size budget {size_budget}"}, skipped=True)
     failures = []
     for i, g in enumerate(corpus):
         omega = max_clique(g).omega
@@ -205,7 +205,7 @@ ORACLE_PATTERNS = ("p3", "p4", "2k2", "p3up2", "gem", "diamond", "c4")
 def criterion_7_pattern_oracle(seed: int = 0, size_budget: int = 500) -> CriterionResult:
     if size_budget <= 0:
         return CriterionResult(7, "pattern oracle equivalence", True,
-                               {"note": "skipped: size budget 0"}, skipped=True)
+                               {"note": f"skipped: size budget {size_budget}"}, skipped=True)
     count = 500
     rng = random.Random(f"oracle-{seed}")
     codes = {name: _labeled_codes(NAMED_PATTERNS[name]) for name in ORACLE_PATTERNS}
@@ -251,7 +251,7 @@ def _exhaustive_chi(g: Graph) -> int:
 def criterion_8_exact_oracle(seed: int = 0, size_budget: int = 300) -> CriterionResult:
     if size_budget <= 0:
         return CriterionResult(8, "exact oracle self-check", True,
-                               {"note": "skipped: size budget 0"}, skipped=True)
+                               {"note": f"skipped: size budget {size_budget}"}, skipped=True)
     count = 300
     rng = random.Random(f"chi-{seed}")
     mismatches = []

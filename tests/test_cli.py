@@ -287,6 +287,14 @@ def test_suite_size_budget_zero(capsys):
     assert {1, 2, 3, 6} <= fixed
 
 
+def test_suite_skip_note_names_the_budget_given(capsys):
+    code, out = run(capsys, "suite", "--size-budget", "-1")
+    rep = json.loads(out)
+    assert code == 0
+    notes = {c["id"]: c["details"]["note"] for c in rep["criteria"] if c["skipped"]}
+    assert notes == dict.fromkeys((4, 5, 7, 8), "skipped: size budget -1")
+
+
 @st.composite
 def graph_texts(draw):
     """A small graph in any format, sometimes cut short."""

@@ -41,9 +41,14 @@ def test_tightness_search_reports_its_best_gap():
     assert best["gap_to_2omega"] == 2 * best["omega"] - best["chi"] >= 0
 
 
-@pytest.mark.parametrize("lo,hi", [(9, 8), (12, 8)])
-def test_tightness_search_refuses_empty_size_range(lo, hi):
+@pytest.mark.parametrize("lo,hi,message", [
+    pytest.param(9, 8, "empty size range: --min-n 9 > --max-n 8", id="9-8"),
+    pytest.param(12, 8, "empty size range: --min-n 12 > --max-n 8", id="12-8"),
+    pytest.param(0, 2, "--min-n 0 is below 1", id="0-2"),
+    pytest.param(70, 70, "--max-n 70 exceeds the exact-chi limit 64", id="70-70"),
+])
+def test_tightness_search_refuses_empty_size_range(lo, hi, message):
     proc = _proc("tightness_search.py", "--count", "5", "--min-n", str(lo), "--max-n", str(hi))
     assert proc.returncode == 2 and not proc.stdout
-    assert f"empty size range: --min-n {lo} > --max-n {hi}" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
