@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Coloring, Graph, _twin_classes, bits, first_occurrence_colors
+from .graphs import Coloring, Graph, _twin_classes, _vertex_mask, bits, first_occurrence_colors
 
 
 EXACT_MAX_N = 64  # default guardrail of `chromatic_number`: larger inputs are refused
@@ -68,7 +68,7 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
       incumbent, and only a strictly heavier clique replaces it. So the
       first maximum clique met, which is the one kept, is the least.
     """
-    within = g.full_mask if within is None else within
+    within = _vertex_mask(g, within)
     classes = _twin_classes(g, within)
     adj = g.adj
     reps = 0

@@ -106,13 +106,23 @@ class Graph:
 
         Returned in ascending order of least vertex.
         """
-        return _components(self.adj, self.full_mask if within is None else within, 0)
+        return _components(self.adj, _vertex_mask(self, within), 0)
 
     def is_clique(self, mask: int) -> bool:
         for v in bits(mask):
             if (self.adj[v] & mask) != mask & ~(1 << v):
                 return False
         return True
+
+
+def _vertex_mask(g: Graph, within: int | None) -> int:
+    """`within` as a vertex mask of g, all vertices if None; GraphError if it
+    has a bit outside 0..n-1 (a negative int has infinitely many)."""
+    if within is None:
+        return g.full_mask
+    if within >> g.n:
+        raise GraphError(f"vertex mask {within:#x} has bits outside the {g.n} vertices")
+    return within
 
 
 def _trusted_graph(n: int, adj: tuple[int, ...], name: str = "") -> Graph:

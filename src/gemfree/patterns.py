@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _twin_classes, bits, build_graph, cograph_coloring, disjoint_union, join
+from .graphs import (
+    Graph, _twin_classes, _vertex_mask, bits, build_graph, cograph_coloring, disjoint_union, join,
+)
 
 MAX_PATTERN = 8
 
@@ -121,7 +123,7 @@ def find_induced(
     """
     pat = pat if isinstance(pat, Pattern) else pattern(pat)
     p = pat.graph
-    free = host.full_mask if within is None else within
+    free = _vertex_mask(host, within)
     assignment = [0] * p.n
 
     def place(i: int, used: int) -> bool:
@@ -180,7 +182,9 @@ def _gem_witness(host: Graph, classes: dict[int, int], reps: int,
     other three) nor two twins of each other, twins have isomorphic N(v), and
     trading a vertex for its representative keeps a P4 and lowers the tuple.
     The representatives are walked as the keys of `classes`, ascending,
-    which is cheaper than walking the bits of `reps`."""
+    which is cheaper than walking the bits of `reps`. `is_p4_free` settles a
+    P3-free N(v), such as an independent set or a matching, with one P3 walk,
+    so a triangle-free host never reaches the cotree walk."""
     for v in classes:
         row = host.adj[v] & reps
         if not is_p4_free(host, row):
@@ -195,10 +199,10 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int,
     reps - (N[u] u N[v]), or some u with a twin (which makes uu' a P2) leaves
     one in reps - N[u]. That last set contains what every edge at u leaves,
     and P3-freeness is hereditary, so only edges between twinless
-    representatives are tried, each from its larger end. Trading a vertex for a smaller twin keeps a
-    P3 u P2 and lowers the tuple unless it is the P2's twin, so the lex-least
-    one lies among the representatives and the second least vertex of each
-    class."""
+    representatives are tried, each from its larger end. Trading a vertex
+    for a smaller twin keeps a P3 u P2 and lowers the tuple unless it is the
+    P2's twin, so the lex-least one lies among the representatives and the
+    second least vertex of each class."""
     single = 0  # the twinless representatives below u
     for u, cls in classes.items():
         outside_u = reps & ~(host.adj[u] | 1 << u)
@@ -229,7 +233,7 @@ _STRUCTURAL = {
 
 def is_p3_free(g: Graph, within: int | None = None) -> bool:
     """True iff <within> (default: all of g) has no induced P3."""
-    return _components_if_cliques(g, g.full_mask if within is None else within) is not None
+    return _components_if_cliques(g, _vertex_mask(g, within)) is not None
 
 
 def _components_if_cliques(g: Graph, mask: int) -> list[int] | None:
@@ -250,6 +254,10 @@ def _components_if_cliques(g: Graph, mask: int) -> list[int] | None:
 
 
 def is_p4_free(g: Graph, within: int | None = None) -> bool:
-    """True iff <within> (default: all of g) has no induced P4: its cotree walk
-    finds no prime node (see `cograph_coloring`)."""
-    return cograph_coloring(g, g.full_mask if within is None else within, [0] * g.n) is not None
+    """True iff <within> (default: all of g) has no induced P4. A P4 holds an
+    induced P3, so a P3-free set (every component a clique) is settled by the
+    P3 walk; only a set with a P3 goes on to the cotree walk, which finds no
+    prime node iff the set is P4-free (see `cograph_coloring`)."""
+    mask = _vertex_mask(g, within)
+    return (_components_if_cliques(g, mask) is not None
+            or cograph_coloring(g, mask, [0] * g.n) is not None)

@@ -12,7 +12,10 @@ from gemfree.generators import (
     groetzsch_graph,
     schlafli_complement,
 )
-from gemfree.graphs import Graph, _twin_classes, bits, build_graph, join
+from gemfree.exact import max_clique
+from gemfree.graphs import (
+    Graph, GraphError, _twin_classes, bits, build_graph, cograph_coloring, join,
+)
 from gemfree.patterns import (
     DEFAULT_CLASS,
     NAMED_PATTERNS,
@@ -107,6 +110,22 @@ def test_p3_free_fast_path():
     assert is_p4_free(path_graph(5), 0b10111)
 
 
+@pytest.mark.parametrize("decide", [
+    is_p3_free,
+    is_p4_free,
+    lambda g, within: find_induced(g, "p3", within),
+    max_clique,
+    lambda g, within: g.components(within),
+], ids=["is_p3_free", "is_p4_free", "find_induced", "max_clique", "components"])
+def test_masks_outside_the_vertex_set_are_refused(decide):
+    g = path_graph(4)
+    for within in (-1, 1 << 4, 0b10110 << 3):
+        with pytest.raises(GraphError, match=f"vertex mask {within:#x} has bits outside"):
+            decide(g, within)
+    decide(g, 0)
+    decide(g, g.full_mask)
+
+
 @st.composite
 def near_cluster_graphs(draw, max_n=12):
     """Disjoint unions of cliques, with up to two vertex pairs toggled."""
@@ -127,6 +146,15 @@ def test_clique_walk_matches_components_and_is_clique(g, data):
     want = comps if all(g.is_clique(c) for c in comps) else None
     assert _components_if_cliques(g, within) == want
     assert is_p3_free(g, within) is (want is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_cluster_graphs(), small_graphs(max_n=12)), st.data())
+def test_masked_p4_test_matches_pattern_search(g, data):
+    # near-cluster graphs give both P3-free masks, which the P3 walk settles,
+    # and masks with a P3, which go on to the cotree walk
+    within = data.draw(st.one_of(st.just(g.full_mask), st.integers(0, g.full_mask)))
+    assert is_p4_free(g, within) is (find_induced(g, "p4", within) is None)
 
 
 def _brute_contains(host, pat):
@@ -301,6 +329,38 @@ def test_membership_searches_only_to_name_a_witness(make, calls, monkeypatch):
     monkeypatch.setattr(gemfree.patterns, "find_induced", counted)
     assert is_class_member(g) == expected
     assert seen == calls
+
+
+def _prism(m):
+    """K_m □ K_2: two K_m, vertex i of one matched to vertex m + i of the
+    other. Twin-free, and every neighbourhood is K_(m-1) plus one vertex."""
+    clique = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges = clique + [(u + m, v + m) for u, v in clique] + [(i, m + i) for i in range(m)]
+    return build_graph(2 * m, edges, f"prism{m}")
+
+
+@pytest.mark.parametrize("make,family,member", [
+    (groetzsch_graph, DEFAULT_CLASS, True),
+    (schlafli_complement, DEFAULT_CLASS, True),
+    (lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (8,) * 5)), DEFAULT_CLASS, True),
+    (lambda: _prism(250), ("gem",), True),
+    (_gem_only_c5_expansion, DEFAULT_CLASS, False),
+], ids=["groetzsch", "schlafli-complement", "K[C5](8)", "prism-n500-gem", "gem-only"])
+def test_gem_test_walks_cotrees_only_of_sets_with_a_p3(make, family, member, monkeypatch):
+    """Every N(v) of the members is P3-free, so the P3 walk settles it; only
+    the gem-only non-member has a neighbourhood with a P3 to walk."""
+    g = make()
+    seen = []
+
+    def counted(host, mask, colors, base=0):
+        seen.append(mask)
+        return cograph_coloring(host, mask, colors, base)
+
+    monkeypatch.setattr(gemfree.patterns, "cograph_coloring", counted)
+    if member:
+        assert is_class_member(g, family) == (True, None) and not seen
+    else:
+        assert is_class_member(g, family) == _searched_membership(g, family) and seen
 
 
 def test_membership_runs_on_the_twin_quotient(monkeypatch):
