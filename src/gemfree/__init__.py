@@ -41,7 +41,7 @@ from .graphs import (
     join,
     mask_of,
 )
-from .partition import WBCPartition, build_partition, partition_for, run_all_checks
+from .partition import WBCPartition, build_partition, run_all_checks
 from .patterns import (
     Pattern,
     PatternError,

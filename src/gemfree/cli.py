@@ -35,7 +35,7 @@ from .generators import (
 )
 from .graph_io import FORMATS, WRITERS, read_graph, serialize
 from .graphs import Graph, GraphError
-from .partition import partition_for, run_all_checks
+from .partition import build_partition, run_all_checks
 from .patterns import DEFAULT_CLASS, is_class_member, pattern
 from .suite import run_suite
 
@@ -72,7 +72,7 @@ def _load(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g, sha = _load(args)
-    forbidden = tuple(s.strip() for s in args.cls.split(",")) if args.cls else DEFAULT_CLASS
+    forbidden = DEFAULT_CLASS if args.cls is None else tuple(s.strip() for s in args.cls.split(","))
     for name in forbidden:
         pattern(name)  # validate names up front
     member, witness = is_class_member(g, forbidden)
@@ -138,7 +138,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     g, sha = _load(args)
-    p = partition_for(g)
+    p = build_partition(g)
     reports = run_all_checks(g, p)
     rep = _base_report(
         args, sha,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors
-from .partition import WBCPartition, partition_for
+from .partition import WBCPartition, build_partition
 from .patterns import PatternWitness, _components_if_cliques, find_induced, is_class_member
 
 
@@ -114,7 +114,7 @@ def _member_partition(g: Graph) -> WBCPartition:
     if not member:
         assert witness is not None
         raise ClassViolationError(witness)
-    return partition_for(g)
+    return build_partition(g)
 
 
 def _certify(g: Graph, colors: Sequence[int], bound: int, bound_name: str) -> Coloring:

@@ -59,26 +59,23 @@ class WBCPartition:
         }
 
 
-def build_partition(g: Graph, a: list[int] | tuple[int, ...]) -> WBCPartition:
-    """The unique partition determined by G and the ordered maximum clique A."""
-    a = tuple(a)
-    for v in a:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
-            raise PartitionError(f"A entry {v!r} is not a vertex of G (0..{g.n - 1})")
-    if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
-        raise PartitionError("A is not a clique")
-    if len(a) != max_clique(g).omega:
+def build_partition(g: Graph, a: list[int] | tuple[int, ...] | None = None) -> WBCPartition:
+    """The unique partition determined by G and the ordered maximum clique A.
+
+    A defaults to the lex-least maximum clique, ascending. A given A is checked
+    to hold vertices, then to be a clique, then to be a maximum one."""
+    if a is not None:
+        a = tuple(a)
+        for v in a:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
+                raise PartitionError(f"A entry {v!r} is not a vertex of G (0..{g.n - 1})")
+        if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
+            raise PartitionError("A is not a clique")
+    best = max_clique(g)
+    if a is None:
+        a = tuple(bits(best.witness))
+    elif len(a) != best.omega:
         raise PartitionError("A is not a maximum clique")
-    return _partition(g, a)
-
-
-def partition_for(g: Graph) -> WBCPartition:
-    """Partition relative to the canonical (lex-least, ascending) maximum clique."""
-    return _partition(g, tuple(bits(max_clique(g).witness)))
-
-
-def _partition(g: Graph, a: tuple[int, ...]) -> WBCPartition:
-    """Partition relative to A, which the caller guarantees is a maximum clique."""
     amask = mask_of(a)
     omega = len(a)
     position = {v: k for k, v in enumerate(a, 1)}

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    Graph, _twin_classes, _vertex_mask, bits, build_graph, cograph_coloring, disjoint_union, join,
+    Graph, GraphError, _twin_classes, _vertex_mask, bits, build_graph, cograph_coloring,
+    disjoint_union, join, mask_of,
 )
 
 MAX_PATTERN = 8
@@ -27,6 +28,8 @@ def path_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphError(f"cycle C{n} needs at least 3 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)], f"C{n}")
 
 
@@ -165,9 +168,7 @@ def is_class_member(
         else:
             if classes is None:
                 classes = _twin_classes(host, host.full_mask)
-                reps = 0
-                for r in classes:
-                    reps |= 1 << r
+                reps = mask_of(classes)
             w = witness(host, classes, reps, pat)
         if w is not None:
             return False, w

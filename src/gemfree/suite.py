@@ -26,7 +26,7 @@ from .generators import (
     schlafli_complement,
 )
 from .graphs import Graph, bits
-from .partition import partition_for, run_all_checks
+from .partition import build_partition, run_all_checks
 from .patterns import NAMED_PATTERNS, cycle_graph, find_induced, is_class_member
 
 
@@ -160,7 +160,7 @@ def criterion_6_lemma_suite(seed: int = 0, size_budget: int = 200) -> CriterionR
     failures = []
     applicable = 0
     for i, g in enumerate(corpus):
-        p = partition_for(g)
+        p = build_partition(g)
         reports = run_all_checks(g, p)
         for name, rep in reports.items():
             if not rep.applicable:

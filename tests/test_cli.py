@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gemfree
-from gemfree import cli, coloring, exact, partition
+from gemfree import cli, coloring, exact, partition, suite
 from gemfree.cli import build_parser, main
+from gemfree.coloring import color_three_omega, color_two_omega
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.graph_io import FORMATS, read_graph, serialize
 from gemfree.generators import (
@@ -26,6 +27,7 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
+from gemfree.partition import build_partition
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
 from gemfree.suite import CriterionResult
 
@@ -67,6 +69,13 @@ def test_check_non_member_witness(files, capsys):
     assert len(rep["witness"]["embedding"]) == 5
 
 
+def test_check_refuses_an_empty_class(files, capsys):
+    assert main(["check", files["c5"], "--class", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown pattern name ''\n"
+
+
 def test_check_missing_file(capsys):
     code = main(["check", "/nonexistent/missing.col"])
     assert code == 2
@@ -100,20 +109,22 @@ def test_color_the_empty_graph(algorithm, tmp_path, capsys):
         assert (rep["trace"]["A"], rep["trace"]["case"]) == ([], "omega<=2")
 
 
-def _count_max_clique(monkeypatch):
+def _count_calls(monkeypatch, func):
+    """Calls of `func` through every gemfree module that binds its name."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return max_clique(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "max_clique", counted)
-    monkeypatch.setattr(partition, "max_clique", counted)
+    for module in (cli, coloring, exact, partition, suite):
+        if getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
     return calls
 
 
 def test_color_finds_omega_once(files, capsys, monkeypatch):
-    calls = _count_max_clique(monkeypatch)
+    calls = _count_calls(monkeypatch, max_clique)
     code, out = run(capsys, "color", files["groetzsch"])
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
@@ -121,10 +132,30 @@ def test_color_finds_omega_once(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["two-omega", "three-omega"])
 def test_color_algorithm_finds_omega_once(files, capsys, monkeypatch, algorithm):
-    calls = _count_max_clique(monkeypatch)
+    calls = _count_calls(monkeypatch, max_clique)
     code, out = run(capsys, "color", files["groetzsch"], "--algorithm", algorithm)
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("colorer", [color_two_omega, color_three_omega],
+                         ids=lambda f: f.__name__)
+def test_each_colorer_call_builds_one_partition(colorer, corpus, monkeypatch):
+    """The traced layers: one `build_partition` and one `max_clique` per call."""
+    builds = _count_calls(monkeypatch, build_partition)
+    cliques = _count_calls(monkeypatch, max_clique)
+    for g in [groetzsch_graph(), schlafli_complement(), *corpus]:
+        builds.clear()
+        cliques.clear()
+        colorer(g)
+        assert (len(builds), len(cliques)) == (1, 1), g.name
+
+
+@pytest.mark.parametrize("name", ["groetzsch", "c5"])
+def test_each_partition_run_builds_one_partition(name, files, capsys, monkeypatch):
+    builds = _count_calls(monkeypatch, build_partition)
+    code, _ = run(capsys, "partition", files[name])
+    assert code == 0 and len(builds) == 1
 
 
 def test_color_exact_c5(files, capsys):
@@ -246,6 +277,17 @@ def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_gen_cycle_needs_three_vertices(n, capsys):
+    code = main(["gen", f"c{n}"])
+    captured = capsys.readouterr()
+    if n < 3:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: cycle C{n} needs at least 3 vertices\n"
+    else:
+        assert code == 0 and json.loads(captured.out)["edges"] == [[0, 1], [0, 2], [1, 2]]
 
 
 @pytest.mark.parametrize("sizes", ["1,,1,1,1", "1,x,1,1,1"])

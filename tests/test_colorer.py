@@ -29,7 +29,7 @@ from gemfree.generators import (
 )
 from gemfree.graph_io import serialize
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, join
-from gemfree.partition import partition_for, run_all_checks
+from gemfree.partition import build_partition, run_all_checks
 from gemfree.patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -173,7 +173,7 @@ def test_atlas_members_certify():
         assert trace.verified and verify_proper(g, two)[0] and verify_proper(g, three)[0]
         assert two.num_colors <= 2 * omega and three.num_colors <= 3 * omega - 2
         assert chromatic_number(g).chi <= min(two.num_colors, three.num_colors)
-        reports = run_all_checks(g, partition_for(g))
+        reports = run_all_checks(g, build_partition(g))
         assert all(r.passed for r in reports.values() if r.applicable), list(h.edges())
     assert members == 623
 
@@ -236,7 +236,7 @@ def _check_case_lemmas(g):
     (Case 2.1 applies, a C'_(1,j) is nonempty beside a C_{1,2} component of
     omega - 1 vertices), so callers can count the inputs that test each fact.
     """
-    p = partition_for(g)
+    p = build_partition(g)
     c12 = g.components(p.C.get((1, 2), 0))
     tight = False
     if any(i == 1 and j >= 3 and cp for (i, j), cp in p.Cprime.items()):
@@ -285,7 +285,7 @@ def test_case21_certifies_single_clique_cells():
     g = build_graph(10, case21_graph().edges() + [(8, 9), (8, 1), (9, 1)])
     assert find_induced(g, "p3up2") is not None
     with pytest.raises(CertificationError, match="not a clique in Case 2.1"):
-        coloring._color_cases(g, partition_for(g), ColoringTrace())
+        coloring._color_cases(g, build_partition(g), ColoringTrace())
 
 
 def test_full_c12_component_beside_a_used_w_plus_1_is_certification_failure():
@@ -296,7 +296,7 @@ def test_full_c12_component_beside_a_used_w_plus_1_is_certification_failure():
              (3, 6), (3, 7), (4, 5), (4, 7)]
     g = build_graph(8, edges)
     assert find_induced(g, "gem") is not None
-    p = partition_for(g)
+    p = build_partition(g)
     assert p.A == (0, 1, 2) and p.C[(1, 2)] == 0b11100000 and p.Cprime[(1, 3)] == 0b11000
     colors = [1, 2, 3, 4, 0, 0, 0, 0]  # x took w+1 as a Case 2.2 u-vertex would
     with pytest.raises(CertificationError, match="component of omega vertices meets a used w"):
@@ -306,11 +306,9 @@ def test_full_c12_component_beside_a_used_w_plus_1_is_certification_failure():
 def test_trace_pool_colors_respect_nonadjacency(corpus):
     # a vertex given a clique-position color must miss that clique vertex
     # and its I-set (the property the proof invokes)
-    from gemfree.partition import partition_for
-
     for g in corpus[:30]:
         col, trace = color_two_omega(g)
-        p = partition_for(g)
+        p = build_partition(g)
         omega = p.omega
         assert trace.A == p.A
         clique_and_i = {k: (1 << p.A[k - 1]) | p.I[k - 1] for k in range(1, omega + 1)}

@@ -25,7 +25,6 @@ from gemfree.partition import (
     check_fact1,
     check_lemma_class,
     check_lemma_gem,
-    partition_for,
     run_all_checks,
 )
 from gemfree.patterns import complete_graph, cycle_graph, find_induced, is_class_member
@@ -119,7 +118,7 @@ def _every_pair(d):
 
 
 def _assert_matches_dense(g, seed):
-    """partition_for and build_partition (A shuffled) hold exactly the reference's
+    """build_partition with A omitted and with A shuffled hold exactly the reference's
     non-empty cells, in lex order, in their maps and their JSON; the JSON with the
     absent pairs filled in is the reference's, which lists every pair."""
     def check(p, ref):
@@ -130,7 +129,7 @@ def _assert_matches_dense(g, seed):
         assert json.dumps(_every_pair(d)) == json.dumps(ref.to_json_dict())
 
     a = tuple(bits(max_clique(g).witness))
-    check(partition_for(g), _dense_partition(g, a))
+    check(build_partition(g), _dense_partition(g, a))
     shuffled = list(a)
     random.Random(seed).shuffle(shuffled)
     check(build_partition(g, shuffled), _dense_partition(g, tuple(shuffled)))
@@ -174,7 +173,7 @@ def test_checks_match_the_every_pair_partition(corpus):
     graphs += [gnp(rng.randint(5, 14), rng.choice((0.3, 0.5, 0.7, 0.85)), rng) for _ in range(900)]
     failing = 0
     for g in graphs + corpus:
-        p = partition_for(g)
+        p = build_partition(g)
         dense = _dense_partition(g, p.A)
         for check in (check_fact1, check_lemma_gem, check_lemma_class):
             report, full = check(g, p), check(g, dense)
@@ -193,7 +192,7 @@ def test_checks_match_the_every_pair_partition(corpus):
 ], ids=["schlafli-complement", "groetzsch", "K[C5](3)"])
 def test_num_entries_count_built_clauses(make, counts):
     g = make()
-    reports = run_all_checks(g, partition_for(g))
+    reports = run_all_checks(g, build_partition(g))
     assert [r.to_json_dict()["num_entries"] for r in reports.values()] == counts
 
 
@@ -201,7 +200,7 @@ def test_checks_at_the_vertex_limit(monkeypatch):
     """K[C5](102), n=510: 2 of the 20,706 cells are non-empty, and only those
     are searched, listed and checked; no clause about an absent cell is built."""
     g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
-    p = partition_for(g)
+    p = build_partition(g)
     d = p.to_json_dict()
     assert len(p.C) == 2
     assert list(d["C"]) == list(d["Cprime"]) == list(d["D"]) == [f"{i},{j}" for i, j in p.C]
@@ -220,7 +219,7 @@ def test_checks_at_the_vertex_limit(monkeypatch):
 
 def test_partition_covers_and_disjoint(corpus):
     for g in corpus:
-        p = partition_for(g)
+        p = build_partition(g)
         total = mask_of(p.A)
         count = len(p.A)
         for m in list(p.I) + list(p.C.values()):
@@ -233,7 +232,7 @@ def test_partition_covers_and_disjoint(corpus):
 def test_partition_fixed_point(corpus):
     # recomputing each vertex's cell from scratch reproduces the partition
     for g in corpus[:20]:
-        p = partition_for(g)
+        p = build_partition(g)
         for v in range(g.n):
             if v in p.A:
                 continue
@@ -248,7 +247,7 @@ def test_partition_respects_relabeling():
     # the Schlafli complement fills all 3 cells; K[C5](3) fills 2 of 15
     k_c5_3 = complete_expansion(ExpansionSpec(cycle_graph(5), (3,) * 5))
     for g, step, filled in [(schlafli_complement(), 5, 3), (k_c5_3, 7, 2)]:
-        p = partition_for(g)
+        p = build_partition(g)
         perm = [(v * step + 3) % g.n for v in range(g.n)]  # step is coprime to n
         assert len(set(perm)) == g.n
         h = relabel(g, perm)
@@ -263,7 +262,7 @@ def test_partition_respects_relabeling():
 
 def test_cprime_drops_exactly_isolated(corpus):
     for g in corpus[:20]:
-        p = partition_for(g)
+        p = build_partition(g)
         for pair, cell in p.C.items():
             iso = mask_of(v for v in bits(cell) if not g.adj[v] & cell)
             assert p.Cprime[pair] == cell & ~iso
@@ -271,7 +270,7 @@ def test_cprime_drops_exactly_isolated(corpus):
 
 def test_checks_pass_on_members(corpus):
     for g in corpus:
-        p = partition_for(g)
+        p = build_partition(g)
         for name, rep in run_all_checks(g, p).items():
             if rep.applicable:
                 assert rep.passed, (name, g.n, rep.failures())
@@ -293,7 +292,7 @@ def test_fact1_reports_violation_outside_class():
     # C6 contains an induced P3 u P2; with A an edge the checker may fail,
     # but the report must stay well formed
     g = cycle_graph(6)
-    p = partition_for(g)
+    p = build_partition(g)
     rep = check_fact1(g, p)
     assert rep.applicable
     for entry in rep.failures():
@@ -340,7 +339,7 @@ G_LIVE = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)
 def test_cell_witness_is_host_labelled(edges, clause, bindings, witness):
     # one failing entry per clause kind, pinned to the vertices it reports
     g = build_graph(max(max(e) for e in edges) + 1, edges)
-    report = run_all_checks(g, partition_for(g))[clause.split(".")[0]]
+    report = run_all_checks(g, build_partition(g))[clause.split(".")[0]]
     [entry] = [e for e in report.entries if e.clause == clause and e.bindings == bindings]
     assert not entry.ok and entry.witness == witness
 
@@ -349,7 +348,7 @@ def test_lemma_gem_runs_on_gem_itself():
     from gemfree.patterns import NAMED_PATTERNS
 
     gem = NAMED_PATTERNS["gem"]
-    p = partition_for(gem)
+    p = build_partition(gem)
     rep = check_lemma_gem(gem, p)
     assert rep.applicable  # clauses may fail outside the precondition
 
@@ -358,7 +357,7 @@ def test_lemma_gem_splits_each_cell_once(monkeypatch):
     """The P4 test and clauses (ii) and (iv) share one split of each cell into
     components: `_components` runs once on each cell mask."""
     g = schlafli_complement()
-    p = partition_for(g)
+    p = build_partition(g)
     calls = {cell: 0 for (_, j), cell in p.C.items() if j >= 3}
     assert [len(g.components(cell)) for cell in calls] == [4, 4]
 
@@ -374,7 +373,7 @@ def test_lemma_gem_splits_each_cell_once(monkeypatch):
 def test_schlafli_passes_all_checks():
     g = schlafli_complement()
     assert is_class_member(g)[0]
-    p = partition_for(g)
+    p = build_partition(g)
     reports = run_all_checks(g, p)
     assert all(r.passed for r in reports.values() if r.applicable)
     assert reports["lemma_class"].applicable
@@ -395,7 +394,7 @@ def test_cell_pattern_clauses_match_a_pattern_search_on_atlas():
     failures = 0
     for h in nx.graph_atlas_g()[1:]:
         g = build_graph(h.number_of_nodes(), list(h.edges()))
-        p = partition_for(g)
+        p = build_partition(g)
         for report, clause, name, jmin in [(check_fact1(g, p), "fact1.i", "p3", 2),
                                            (check_lemma_gem(g, p), "lemma_gem.i", "p4", 3)]:
             want = []
