@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors
 from .partition import WBCPartition, build_partition
-from .patterns import PatternWitness, _components_if_cliques, find_induced, is_class_member
+from .patterns import PatternWitness, _components_if_cliques, is_class_member
 
 
 class ClassViolationError(ValueError):
@@ -97,14 +97,6 @@ def greedy_coloring(g: Graph) -> Coloring:
         while c in used:
             c += 1
         colors[v] = c
-    return Coloring(tuple(colors))
-
-
-def color_cograph(g: Graph) -> Coloring:
-    """Optimal coloring of a P4-free graph via its cotree (see `cograph_coloring`)."""
-    colors = [0] * g.n
-    if cograph_coloring(g, g.full_mask, colors) is None:
-        raise ClassViolationError(find_induced(g, "p4"))
     return Coloring(tuple(colors))
 
 

@@ -110,30 +110,19 @@ def schlafli_complement() -> Graph:
 
 
 def check_srg(g: Graph) -> tuple[int, int, int, int] | None:
-    """(n, k, lambda, mu) if G is strongly regular, else None; brute force over vertex pairs."""
-    if g.n == 0:
-        return None
-    k = g.degree(0)
-    if any(g.degree(v) != k for v in range(g.n)):
-        return None
-    lam: int | None = None
-    mu: int | None = None
+    """(n, k, lambda, mu) if G is strongly regular, else None; brute force over vertex pairs.
+
+    One degree, one lambda and one mu are required: complete and edgeless graphs are not.
+    """
+    lams: set[int] = set()
+    mus: set[int] = set()
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            common = (g.adj[u] & g.adj[v]).bit_count()
-            if g.has_edge(u, v):
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    if lam is None or mu is None:
+            (lams if g.has_edge(u, v) else mus).add((g.adj[u] & g.adj[v]).bit_count())
+    degrees = {g.degree(v) for v in range(g.n)}
+    if len(degrees) != 1 or len(lams) != 1 or len(mus) != 1:
         return None
-    return g.n, k, lam, mu
+    return g.n, degrees.pop(), lams.pop(), mus.pop()
 
 
 def named_graph(name: str) -> Graph:

@@ -109,6 +109,7 @@ class Graph:
         return _components(self.adj, _vertex_mask(self, within), 0)
 
     def is_clique(self, mask: int) -> bool:
+        mask = _vertex_mask(self, mask)
         for v in bits(mask):
             if (self.adj[v] & mask) != mask & ~(1 << v):
                 return False

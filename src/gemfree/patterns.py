@@ -99,18 +99,6 @@ class PatternWitness:
     pattern_name: str
     embedding: tuple[int, ...]
 
-    def verify(self, host: Graph, pat: Pattern) -> bool:
-        """True iff the embedding is an induced copy of the pattern, vertex by vertex."""
-        emb = self.embedding
-        distinct_inside = {v for v in emb if 0 <= v < host.n}
-        if len(distinct_inside) != len(emb) or len(emb) != pat.graph.n:
-            return False
-        return all(
-            pat.graph.has_edge(a, b) == host.has_edge(emb[a], emb[b])
-            for a in range(pat.graph.n)
-            for b in range(a + 1, pat.graph.n)
-        )
-
 
 def find_induced(
     host: Graph, pat: Pattern | str | Graph, within: int | None = None

@@ -6,6 +6,7 @@ module; each criterion returns a structured result with the measured values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -106,17 +107,15 @@ def criterion_3_expansions() -> CriterionResult:
                            ok, {"rows": rows})
 
 
-_CORPUS_CACHE: dict[tuple[int, int], list[Graph]] = {}
-
-
 def _corpus(seed: int, size_budget: int) -> list[Graph]:
-    if size_budget <= 0:
-        return []
-    count = max(200, size_budget)
-    key = (seed, count)
-    if key not in _CORPUS_CACHE:
-        _CORPUS_CACHE[key] = class_corpus(count=count, n_range=(5, 14), seed=seed)
-    return _CORPUS_CACHE[key]
+    """The corpus of criteria 4-6, empty for a budget of 0 or less."""
+    return _sampled_corpus(seed, max(200, size_budget)) if size_budget > 0 else []
+
+
+@functools.cache
+def _sampled_corpus(seed: int, count: int) -> list[Graph]:
+    """Sampled once per seed and count: criteria 4-6 share it."""
+    return class_corpus(count=count, n_range=(5, 14), seed=seed)
 
 
 def criterion_4_theorem_bound(seed: int = 0, size_budget: int = 200) -> CriterionResult:

@@ -156,6 +156,13 @@ def token_texts():
 
 
 @pytest.fixture(scope="session")
+def atlas():
+    """networkx's graph atlas, the 1,253 graphs on at most 7 vertices, as
+    gemfree graphs in atlas order."""
+    return tuple(build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g())
+
+
+@pytest.fixture(scope="session")
 def corpus():
     """Deterministic class-member corpus shared across the slower tests."""
     from gemfree.generators import class_corpus

@@ -1,7 +1,6 @@
 import json
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from gemfree.coloring import (
     CertificationError,
     ClassViolationError,
     ColoringTrace,
-    color_cograph,
     color_three_omega,
     color_two_omega,
     greedy_coloring,
@@ -28,7 +26,7 @@ from gemfree.generators import (
     schlafli_complement,
 )
 from gemfree.graph_io import serialize
-from gemfree.graphs import Coloring, GraphError, bits, build_graph, join
+from gemfree.graphs import Coloring, GraphError, bits, build_graph, cograph_coloring, join
 from gemfree.partition import build_partition, run_all_checks
 from gemfree.patterns import (
     NAMED_PATTERNS,
@@ -94,16 +92,21 @@ def test_greedy_at_least_chi(g):
     assert col.num_colors >= chromatic_number(g).chi
 
 
+def _cograph_colors(g):
+    """`cograph_coloring` over all of g: the colour list, or None at a P4."""
+    colors = [0] * g.n
+    return None if cograph_coloring(g, g.full_mask, colors) is None else Coloring(tuple(colors))
+
+
 def test_cograph_coloring():
-    assert color_cograph(cycle_graph(4)).num_colors == 2
-    assert color_cograph(join(complete_graph(2), complete_graph(3))).num_colors == 5
+    assert _cograph_colors(cycle_graph(4)).num_colors == 2
+    assert _cograph_colors(join(complete_graph(2), complete_graph(3))).num_colors == 5
     paw = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    assert color_cograph(paw).num_colors == 3
+    assert _cograph_colors(paw).num_colors == 3
 
 
 def test_cograph_rejects_p4():
-    with pytest.raises(ClassViolationError):
-        color_cograph(path_graph(4))
+    assert _cograph_colors(path_graph(4)) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,10 +114,7 @@ def test_cograph_rejects_p4():
 def test_cotree_p4_test_matches_pattern_search(g):
     w = find_induced(g, "p4")
     assert is_p4_free(g) == (w is None)
-    if w is not None:
-        with pytest.raises(ClassViolationError) as exc:
-            color_cograph(g)
-        assert exc.value.witness == w
+    assert (_cograph_colors(g) is None) == (w is not None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +122,7 @@ def test_cotree_p4_test_matches_pattern_search(g):
 def test_cograph_optimal_when_p4_free(g):
     if not is_p4_free(g):
         return
-    col = color_cograph(g)
+    col = _cograph_colors(g)
     assert verify_proper(g, col)[0]
     assert col.num_colors == max_clique(g).omega
 
@@ -158,12 +158,11 @@ def test_two_omega_at_the_vertex_limit():
     assert trace.verified and col.num_colors <= 2 * omega
 
 
-def test_atlas_members_certify():
+def test_atlas_members_certify(atlas):
     """Every class member on at most 7 vertices: both colorings certify within
     their bounds, exact chi is at most both counts, and the lemma checks pass."""
     members = 0
-    for h in nx.graph_atlas_g():
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
+    for g in atlas:
         if not g.n or not is_class_member(g)[0]:
             continue
         members += 1
@@ -249,13 +248,12 @@ def _check_case_lemmas(g):
     return cells is not None, tight
 
 
-def test_case_lemmas_on_relabelled_atlas_members():
+def test_case_lemmas_on_relabelled_atlas_members(atlas):
     # Case 2.1 needs n >= 8, so on n <= 7 this checks the C_{1,2} bound (13 of
     # these members have a C'_(1,j) beside a nonempty C_{1,2}) and the case
     # detection under relabelling
     rng = random.Random(0)
-    for h in nx.graph_atlas_g():
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
+    for g in atlas:
         if g.n and is_class_member(g)[0]:
             perm = list(range(g.n))
             rng.shuffle(perm)

@@ -93,10 +93,9 @@ def test_max_clique_matches_reference_on_twin_blowups(base, data):
     _assert_matches_reference(g, data.draw(st.integers(0, g.full_mask)))
 
 
-def test_max_clique_matches_reference_on_atlas():
+def test_max_clique_matches_reference_on_atlas(atlas):
     rng = random.Random(0)
-    for h in nx.graph_atlas_g():
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
+    for g in atlas:
         for within in (None, *(rng.getrandbits(g.n) for _ in range(4))):
             _assert_matches_reference(g, within)
 

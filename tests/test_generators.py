@@ -16,12 +16,13 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
-from gemfree.graphs import MAX_VERTICES, GraphError, complement, mask_of
+from gemfree.graphs import MAX_VERTICES, GraphError, build_graph, complement, mask_of
 from gemfree.patterns import (
     complete_graph,
     cycle_graph,
     find_induced,
     is_class_member,
+    path_graph,
 )
 
 from conftest import small_graphs, to_nx
@@ -87,6 +88,20 @@ def test_schlafli_complement_parameters():
     assert max_clique(g).omega == 3
     assert max_clique(complement(g)).omega == 6
     assert is_class_member(g)[0]
+
+
+@pytest.mark.parametrize("g,params", [
+    (cycle_graph(5), (5, 2, 0, 1)),
+    (build_graph(10, list(nx.petersen_graph().edges())), (10, 3, 0, 1)),
+    (build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]), (6, 3, 0, 3)),
+    (complete_graph(4), None),  # no non-adjacent pair: no mu
+    (cycle_graph(6), None),  # mu is 0 or 2
+    (path_graph(3), None),  # two degrees
+    (build_graph(3, []), None),  # no adjacent pair: no lambda
+    (build_graph(0, []), None),
+], ids=["C5", "petersen", "K3,3", "K4", "C6", "P3", "empty-3", "no-vertices"])
+def test_check_srg(g, params):
+    assert check_srg(g) == params
 
 
 def test_named_graph_dispatch():

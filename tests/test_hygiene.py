@@ -2,7 +2,7 @@
 
 No module, script or test file imports a name it never uses; `__init__.py` is exempt
 because its imports are the package's re-exports, and each of those has a
-caller in the package or is named in README.md. No module copies an induced subgraph:
+caller in the package. No module copies an induced subgraph:
 searches run inside vertex masks of the host instead. No module imports
 networkx, a test dependency only. Every CLI option is read by its command.
 These checks use only `ast`, apart from the CLI check, which takes the
@@ -12,7 +12,6 @@ import the package in a child interpreter.
 
 import argparse
 import ast
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,7 +64,7 @@ def test_no_induced_subgraph_copies(path):
     assert not calls, f"{path.name} calls induced_subgraph on lines {calls}"
 
 
-def test_every_export_has_a_caller_or_doc():
+def test_every_export_has_a_caller():
     exported = _imported_names(ast.parse((SRC / "__init__.py").read_text()))
     used = set()
     for path in MODULES:
@@ -74,10 +73,8 @@ def test_every_export_has_a_caller_or_doc():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    documented = {word for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
-                  for word in re.findall(r"\w+", span)}
-    orphans = sorted(set(exported) - used - documented)
-    assert not orphans, f"exported with no caller in the package and no README mention: {orphans}"
+    orphans = sorted(set(exported) - used)
+    assert not orphans, f"exported with no caller in the package: {orphans}"
 
 
 def _networkx_loaded(statements: str) -> str:

@@ -2,7 +2,6 @@ import json
 import random
 import re
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -135,10 +134,9 @@ def _assert_matches_dense(g, seed):
     check(build_partition(g, shuffled), _dense_partition(g, tuple(shuffled)))
 
 
-def test_partition_matches_dense_on_atlas():
+def test_partition_matches_dense_on_atlas(atlas):
     members = 0
-    for index, h in enumerate(nx.graph_atlas_g()):
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
+    for index, g in enumerate(atlas):
         if g.n and is_class_member(g)[0]:
             members += 1
             _assert_matches_dense(g, index)
@@ -162,14 +160,14 @@ def _cells(entry):
     return named or [(entry.bindings["i"], entry.bindings["j"])]
 
 
-def test_checks_match_the_every_pair_partition(corpus):
+def test_checks_match_the_every_pair_partition(atlas, corpus):
     """fact1, lemma_gem and lemma_class give the same verdicts and failures, in
     order, on the sparse partition as on the reference that lists every pair: a
     clause about an absent cell can never fail. The sparse checkers build exactly
     the reference's clauses whose cells all exist, and count those. claim1 is
     left out, since its clauses presuppose a non-empty C_{r,s}."""
     rng = random.Random(0)
-    graphs = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs = [*atlas]
     graphs += [gnp(rng.randint(5, 14), rng.choice((0.3, 0.5, 0.7, 0.85)), rng) for _ in range(900)]
     failing = 0
     for g in graphs + corpus:
@@ -388,12 +386,11 @@ def test_partition_json_shape():
     assert d["D"]["1,2"] == [1, 2]
 
 
-def test_cell_pattern_clauses_match_a_pattern_search_on_atlas():
+def test_cell_pattern_clauses_match_a_pattern_search_on_atlas(atlas):
     """fact1.i and lemma_gem.i hold iff `find_induced` finds no P3 (P4) in the
     cell, whose lex-least copy is the witness: on members and non-members."""
     failures = 0
-    for h in nx.graph_atlas_g()[1:]:
-        g = build_graph(h.number_of_nodes(), list(h.edges()))
+    for g in atlas[1:]:
         p = build_partition(g)
         for report, clause, name, jmin in [(check_fact1(g, p), "fact1.i", "p3", 2),
                                            (check_lemma_gem(g, p), "lemma_gem.i", "p4", 3)]:
