@@ -17,6 +17,8 @@ def main() -> None:
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.count < 1:
+        ap.error(f"--count {args.count} is below 1")
 
     counts: Counter[str] = Counter()
     for g in class_corpus(count=args.count, seed=args.seed):

@@ -22,6 +22,8 @@ def main() -> None:
     ap.add_argument("--min-n", type=int, default=8)
     ap.add_argument("--max-n", type=int, default=16)
     args = ap.parse_args()
+    if args.count < 1:
+        ap.error(f"--count {args.count} is below 1")
     if args.min_n > args.max_n:
         ap.error(f"empty size range: --min-n {args.min_n} > --max-n {args.max_n}")
     if args.min_n < 1:

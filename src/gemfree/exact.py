@@ -182,8 +182,9 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     return None
 
 
-def _alpha2_complement(g: Graph) -> list[int] | None:
-    """Neighbour masks of the complement if alpha(G) <= 2, else None.
+def _alpha2_matching(g: Graph) -> list[int] | None:
+    """A maximum matching of co-G, as `_max_matching`'s `mate`, if alpha(G) <= 2,
+    else None.
 
     alpha(G) <= 2 iff co-G is triangle-free, that is iff no complement edge
     uv, u < v, has ends with a common complement neighbour: O(n^2) mask ANDs.
@@ -194,7 +195,7 @@ def _alpha2_complement(g: Graph) -> list[int] | None:
         for v in bits(row >> (u + 1) << (u + 1)):
             if row & co[v]:
                 return None
-    return co
+    return _max_matching(g.n, co)
 
 
 def _max_matching(n: int, adj: list[int]) -> list[int]:
@@ -298,9 +299,8 @@ def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
     """
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
-    co = _alpha2_complement(g)
-    if co is not None:
-        mate = _max_matching(g.n, co)
+    mate = _alpha2_matching(g)
+    if mate is not None:
         # a matched pair takes the label of its lower end, a free vertex its own
         labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
         witness = Coloring(first_occurrence_colors(labels))
@@ -322,8 +322,7 @@ def chi_alpha2_shortcut(g: Graph) -> int:
     test and O(n^3) blossom matching as `chromatic_number`, without its size
     guard.
     """
-    co = _alpha2_complement(g)
-    if co is None:
+    mate = _alpha2_matching(g)
+    if mate is None:
         raise ValueError("shortcut requires independence number <= 2")
-    mate = _max_matching(g.n, co)
     return g.n - (g.n - mate.count(-1)) // 2

@@ -52,7 +52,7 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
             _check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
-                raise GraphError("DIMACS edge line before header")
+                raise GraphError(f"DIMACS edge line {lineno} before header: {line!r}")
             if len(parts) != 3:
                 raise GraphError(f"DIMACS edge line {lineno} needs two endpoints: {line!r}")
             u, v = _int(parts[1], lineno, line), _int(parts[2], lineno, line)
@@ -85,7 +85,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
     hline, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise GraphError("edge-list header must be 'n m'")
+        raise GraphError(f"edge-list header line {hline} must be 'n m': {header!r}")
     n, m = _int(parts[0], hline, header), _int(parts[1], hline, header)
     _check_vertex_count(n)
     if len(lines) - 1 != m:
@@ -94,7 +94,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
     for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphError(f"edge-list line needs two endpoints: {ln!r}")
+            raise GraphError(f"edge-list line {lineno} needs two endpoints: {ln!r}")
         u, v = _int(parts[0], lineno, ln), _int(parts[1], lineno, ln)
         if problem := _bad_edge(u, v, n, 0):
             raise GraphError(f"{problem} on line {lineno}: {ln!r}")

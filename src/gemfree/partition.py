@@ -1,9 +1,9 @@
 """Clique-relative vertex partition and its structural invariant checkers.
 
-Given an ordered maximum clique A = (v_1..v_w), every outside vertex lands in
-I_k (misses exactly v_k) or in C_{i,j} for the lex-least pair (i,j) of missed
-clique positions. C'_{i,j} drops the vertices isolated inside their cell;
-D_{i,j} collects the clique positions with no neighbor in C'_{i,j}.
+A = (v_1..v_w) is the lex-least maximum clique of G, ascending. Every outside
+vertex lands in I_k (misses exactly v_k) or in C_{i,j} for the lex-least pair
+(i,j) of missed clique positions. C'_{i,j} drops the vertices isolated inside
+their cell; D_{i,j} collects the clique positions with no neighbor in C'_{i,j}.
 
 Class members fill few of the C(w,2) cells, so only the non-empty cells are
 computed and held: each outside vertex is classified once from the mask of
@@ -22,7 +22,6 @@ nor counted, so a report's `num_entries` counts the clauses checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Iterable
 
 from .exact import max_clique
@@ -30,10 +29,6 @@ from .graphs import Graph, bits, mask_of
 from .patterns import _components_if_cliques, find_induced, is_p4_free
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
-
-
-class PartitionError(ValueError):
-    """A is not an ordered maximum clique of G."""
 
 
 @dataclass(frozen=True)
@@ -59,36 +54,26 @@ class WBCPartition:
         }
 
 
-def build_partition(g: Graph, a: list[int] | tuple[int, ...] | None = None) -> WBCPartition:
-    """The unique partition determined by G and the ordered maximum clique A.
-
-    A defaults to the lex-least maximum clique, ascending. A given A is checked
-    to hold vertices, then to be a clique, then to be a maximum one."""
-    if a is not None:
-        a = tuple(a)
-        for v in a:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < g.n:
-                raise PartitionError(f"A entry {v!r} is not a vertex of G (0..{g.n - 1})")
-        if len(set(a)) != len(a) or not g.is_clique(mask_of(a)):
-            raise PartitionError("A is not a clique")
-    best = max_clique(g)
-    if a is None:
-        a = tuple(bits(best.witness))
-    elif len(a) != best.omega:
-        raise PartitionError("A is not a maximum clique")
-    amask = mask_of(a)
+def build_partition(g: Graph) -> WBCPartition:
+    """The unique partition determined by G and its lex-least maximum clique A,
+    in ascending order. Positions follow bit order, so a vertex's lex-least
+    missed pair is the positions of the two lowest bits of its missed mask."""
+    amask = max_clique(g).witness
+    a = tuple(bits(amask))
     omega = len(a)
     position = {v: k for k, v in enumerate(a, 1)}
     i_sets = [0] * omega
     cells: dict[LexPair, int] = {}
     for v in bits(g.full_mask & ~amask):
         missed = amask & ~g.adj[v]  # nonempty, as A is a maximum clique
-        if not missed & (missed - 1):
-            i_sets[position[missed.bit_length() - 1] - 1] |= 1 << v
+        low = missed & -missed
+        i = position[low.bit_length() - 1]
+        rest = missed ^ low
+        if not rest:
+            i_sets[i - 1] |= 1 << v
         else:
-            # A may come in any order: the least positions need not be the lowest bits
-            i, j = islice((k for k, u in enumerate(a, 1) if missed >> u & 1), 2)
-            cells[(i, j)] = cells.get((i, j), 0) | 1 << v
+            pair = (i, position[(rest & -rest).bit_length() - 1])
+            cells[pair] = cells.get(pair, 0) | 1 << v
     c_sets = dict(sorted(cells.items()))
     cprime = {pair: cell & ~mask_of(v for v in bits(cell) if not g.adj[v] & cell)
               for pair, cell in c_sets.items()}

@@ -60,12 +60,11 @@ def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
 
 def _witness_facts(g: Graph) -> dict[str, Any]:
     """omega, chi, membership, the color count of the certified 2*omega coloring
-    and its `verified` flag."""
-    omega = max_clique(g).omega
+    and its `verified` flag. omega is the size of the coloring's clique A."""
     chi = chromatic_number(g).chi
     member = is_class_member(g)[0]
     col, trace = color_two_omega(g)
-    return {"omega": omega, "chi": chi, "member": member,
+    return {"omega": len(trace.A), "chi": chi, "member": member,
             "two_omega_colors": col.distinct_colors, "verified": trace.verified}
 
 
@@ -126,7 +125,7 @@ def criterion_4_theorem_bound(seed: int = 0, size_budget: int = 200) -> Criterio
     failures = []
     for i, g in enumerate(corpus):
         col, trace = color_two_omega(g)
-        omega = max_clique(g).omega
+        omega = len(trace.A)
         chi = chromatic_number(g).chi
         if not (trace.verified and col.num_colors <= 2 * omega and chi <= col.distinct_colors):
             failures.append({"index": i, "n": g.n, "omega": omega, "chi": chi,

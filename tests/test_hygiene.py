@@ -4,7 +4,8 @@ No module, script or test file imports a name it never uses; `__init__.py` is ex
 because its imports are the package's re-exports, and each of those has a
 caller in the package. No module copies an induced subgraph:
 searches run inside vertex masks of the host instead. No module imports
-networkx, a test dependency only. Every CLI option is read by its command.
+networkx, a test dependency only. Every CLI option is read by its command, and
+every defaulted parameter of an exported function is set by a package call.
 These checks use only `ast`, apart from the CLI check, which takes the
 options from `build_parser()`, and the two networkx-loading checks, which
 import the package in a child interpreter.
@@ -75,6 +76,39 @@ def test_every_export_has_a_caller():
                 used.add(node.attr)
     orphans = sorted(set(exported) - used)
     assert not orphans, f"exported with no caller in the package: {orphans}"
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; position None if keyword-only."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if d is not None]
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    """Each defaulted parameter of an exported function is passed, by position or
+    by keyword, by some call in the package: an option only tests set is dead."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name: node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    calls = []
+    for path in MODULES:
+        calls += [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Call)]
+    unset = []
+    for name, module in sorted(exported.items()):
+        defs = [node for node in ast.parse((SRC / f"{module}.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+        for fn in defs:
+            mine = [c for c in calls
+                    if (getattr(c.func, "id", None) or getattr(c.func, "attr", None)) == name]
+            for param, position in _defaulted_parameters(fn):
+                if not any(any(k.arg == param for k in c.keywords)
+                           or position is not None and len(c.args) > position for c in mine):
+                    unset.append(f"{name}({param})")
+    assert not unset, f"defaulted parameters no package call sets: {unset}"
 
 
 def _networkx_loaded(statements: str) -> str:

@@ -45,7 +45,8 @@ def test_dimacs_comments_and_1_based():
 
 # malformed DIMACS input -> a pattern its error text starts with
 DIMACS_MALFORMED = {
-    "e 1 2\n": "DIMACS edge line before header",
+    "e 1 2\n": "DIMACS edge line 1 before header: 'e 1 2'",
+    "c x\ne 1 2\n": "DIMACS edge line 2 before header: 'e 1 2'",  # comments keep line numbers
     "p edge 2 1\ne 1 5\n": "endpoint 5 outside 1..2 on line 2: 'e 1 5'",
     "p wrong 2 1\n": "bad DIMACS header on line 1",
     "p edge 2 1\nx 1 2\n": "unrecognized DIMACS line 2",
@@ -75,8 +76,9 @@ def test_dimacs_repeated_header_names_line():
 # malformed edge-list input -> a pattern its error text starts with
 EDGELIST_MALFORMED = {
     "3 2\n0 1\n": "expected 2 edge lines, found 1",
-    "3 1\n0\n": "edge-list line needs two endpoints: '0'",
-    "3 1\n0 1 2\n": "edge-list line needs two endpoints: '0 1 2'",
+    "3 1\n0\n": "edge-list line 2 needs two endpoints: '0'",
+    "3 1\n0 1 2\n": "edge-list line 2 needs two endpoints: '0 1 2'",
+    "# c\n3 1 0\n0 1\n": "edge-list header line 2 must be 'n m': '3 1 0'",
     "3 1\n0 x\n": "non-integer 'x' on line 2",
     "x 1\n0 1\n": "non-integer 'x' on line 1",
     "4 2\n0 1\n2 9\n": "endpoint 9 outside 0..3 on line 3: '2 9'",

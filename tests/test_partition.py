@@ -1,6 +1,5 @@
 import json
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from gemfree.generators import (
 )
 from gemfree.graphs import bits, build_graph, mask_of
 from gemfree.partition import (
-    PartitionError,
     WBCPartition,
     build_partition,
     check_claim1,
@@ -32,7 +30,8 @@ from conftest import relabel, sampled_members
 
 
 def test_c5_partition_forced():
-    p = build_partition(cycle_graph(5), (0, 1))
+    p = build_partition(cycle_graph(5))
+    assert p.A == (0, 1)
     assert p.I[0] == mask_of([2])  # misses only v_1
     assert p.I[1] == mask_of([4])
     assert p.C[(1, 2)] == mask_of([3])
@@ -42,7 +41,8 @@ def test_c5_partition_forced():
 
 def test_p3up2_partition_forced():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    p = build_partition(g, (0, 1))
+    p = build_partition(g)
+    assert p.A == (0, 1)
     assert p.I[0] == mask_of([2])
     assert p.C[(1, 2)] == mask_of([3, 4])
     assert p.Cprime[(1, 2)] == mask_of([3, 4])
@@ -50,28 +50,10 @@ def test_p3up2_partition_forced():
 
 
 def test_k4_partition_all_empty():
-    p = build_partition(complete_graph(4), (0, 1, 2, 3))
+    p = build_partition(complete_graph(4))
+    assert p.A == (0, 1, 2, 3)
     assert all(m == 0 for m in p.I)
     assert all(m == 0 for m in p.C.values())
-
-
-def test_partition_rejects_non_maximum_clique():
-    with pytest.raises(PartitionError):
-        build_partition(complete_graph(4), (0, 1))
-    with pytest.raises(PartitionError):
-        build_partition(cycle_graph(5), (0, 2))  # not a clique
-
-
-@pytest.mark.parametrize("g,a,bad", [
-    (complete_graph(1), (99,), 99),
-    (complete_graph(1), (True,), True),
-    (complete_graph(2), (0, True), True),  # in range, but a bool
-    (cycle_graph(5), (-1, 0), -1),
-    (cycle_graph(5), (0.0, 1), 0.0),
-], ids=["out-of-range", "bool", "bool-in-range", "negative", "float"])
-def test_partition_rejects_bad_clique_entry(g, a, bad):
-    with pytest.raises(PartitionError, match=re.escape(f"A entry {bad!r} ")):
-        build_partition(g, a)
 
 
 def lex_pairs(omega):
@@ -79,7 +61,8 @@ def lex_pairs(omega):
 
 
 def _dense_partition(g, a):
-    """Reference partition: every vertex and every lex pair examined one by one."""
+    """Reference partition around the clique A, in any order: every vertex and
+    every lex pair examined one by one."""
     amask = mask_of(a)
     omega = len(a)
     i_sets = [0] * omega
@@ -116,37 +99,33 @@ def _every_pair(d):
             "D": {key: d["D"].get(key, every) for key in keys}}
 
 
-def _assert_matches_dense(g, seed):
-    """build_partition with A omitted and with A shuffled hold exactly the reference's
-    non-empty cells, in lex order, in their maps and their JSON; the JSON with the
-    absent pairs filled in is the reference's, which lists every pair."""
-    def check(p, ref):
-        live = [pair for pair, cell in ref.C.items() if cell]
-        assert list(p.C) == list(p.Cprime) == list(p.D) == live
-        d = p.to_json_dict()
-        assert list(d["C"]) == list(d["Cprime"]) == list(d["D"]) == [f"{i},{j}" for i, j in live]
-        assert json.dumps(_every_pair(d)) == json.dumps(ref.to_json_dict())
-
-    a = tuple(bits(max_clique(g).witness))
-    check(build_partition(g), _dense_partition(g, a))
-    shuffled = list(a)
-    random.Random(seed).shuffle(shuffled)
-    check(build_partition(g, shuffled), _dense_partition(g, tuple(shuffled)))
+def _assert_matches_dense(g):
+    """build_partition holds exactly the reference's non-empty cells around the
+    lex-least maximum clique, in lex order, in its maps and its JSON; the JSON
+    with the absent pairs filled in is the reference's, which lists every pair."""
+    p = build_partition(g)
+    assert p.A == tuple(bits(max_clique(g).witness))
+    ref = _dense_partition(g, p.A)
+    live = [pair for pair, cell in ref.C.items() if cell]
+    assert list(p.C) == list(p.Cprime) == list(p.D) == live
+    d = p.to_json_dict()
+    assert list(d["C"]) == list(d["Cprime"]) == list(d["D"]) == [f"{i},{j}" for i, j in live]
+    assert json.dumps(_every_pair(d)) == json.dumps(ref.to_json_dict())
 
 
 def test_partition_matches_dense_on_atlas(atlas):
     members = 0
-    for index, g in enumerate(atlas):
+    for g in atlas:
         if g.n and is_class_member(g)[0]:
             members += 1
-            _assert_matches_dense(g, index)
+            _assert_matches_dense(g)
     assert members == 623
 
 
 @settings(max_examples=60, deadline=None)
 @given(sampled_members())
 def test_partition_matches_dense_on_sampled_members(member):
-    _assert_matches_dense(*member)
+    _assert_matches_dense(member[0])
 
 
 def _verdict(report):
@@ -242,20 +221,22 @@ def test_partition_fixed_point(corpus):
 
 
 def test_partition_respects_relabeling():
-    # the Schlafli complement fills all 3 cells; K[C5](3) fills 2 of 15
+    """Mapped back to G, the partition of a relabelled copy H is the reference
+    partition of G around the preimage of H's clique, in H's order: an order
+    that is not ascending in G."""
     k_c5_3 = complete_expansion(ExpansionSpec(cycle_graph(5), (3,) * 5))
-    for g, step, filled in [(schlafli_complement(), 5, 3), (k_c5_3, 7, 2)]:
-        p = build_partition(g)
+    for g, step in [(schlafli_complement(), 5), (k_c5_3, 7)]:
         perm = [(v * step + 3) % g.n for v in range(g.n)]  # step is coprime to n
-        assert len(set(perm)) == g.n
+        inverse = {u: v for v, u in enumerate(perm)}
         h = relabel(g, perm)
-        q = build_partition(h, [perm[v] for v in p.A])
-        assert q.A == tuple(perm[v] for v in p.A)
-        assert list(q.C) == list(p.C) and len(p.C) == filled
-        pj, qj = p.to_json_dict(), q.to_json_dict()
+        q = build_partition(h)
+        a = tuple(inverse[u] for u in q.A)
+        assert list(a) != sorted(a)
+        qj, ref = _every_pair(q.to_json_dict()), _dense_partition(g, a).to_json_dict()
         for part in ("I", "C", "Cprime"):
-            assert qj[part] == {key: sorted(perm[v] for v in vs) for key, vs in pj[part].items()}
-        assert qj["D"] == pj["D"]
+            back = {key: sorted(inverse[u] for u in vs) for key, vs in qj[part].items()}
+            assert back == ref[part]
+        assert qj["D"] == ref["D"]
 
 
 def test_cprime_drops_exactly_isolated(corpus):
@@ -275,14 +256,16 @@ def test_checks_pass_on_members(corpus):
 
 
 def test_lemma_class_refuses_small_omega():
-    p = build_partition(cycle_graph(5), (0, 1))
+    p = build_partition(cycle_graph(5))
+    assert p.A == (0, 1)
     rep = check_lemma_class(cycle_graph(5), p)
     assert not rep.applicable and "omega >= 3" in rep.reason
     assert not check_claim1(cycle_graph(5), p).applicable
 
 
 def test_fact1_vacuous_on_k4():
-    p = build_partition(complete_graph(4), (0, 1, 2, 3))
+    p = build_partition(complete_graph(4))
+    assert p.A == (0, 1, 2, 3)
     assert check_fact1(complete_graph(4), p).passed
 
 
@@ -378,7 +361,8 @@ def test_schlafli_passes_all_checks():
 
 
 def test_partition_json_shape():
-    p = build_partition(cycle_graph(5), (0, 1))
+    p = build_partition(cycle_graph(5))
+    assert p.A == (0, 1)
     d = p.to_json_dict()
     assert d["A"] == [0, 1]
     assert d["C"]["1,2"] == [3]

@@ -52,3 +52,13 @@ def test_tightness_search_refuses_empty_size_range(lo, hi, message):
     assert proc.returncode == 2 and not proc.stdout
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["case_coverage.py", "tightness_search.py"])
+@pytest.mark.parametrize("count", [0, -2])
+def test_scripts_refuse_a_count_below_one(script, count):
+    # an empty corpus would report every case as never fired, or no members sampled
+    proc = _proc(script, "--count", str(count))
+    assert proc.returncode == 2 and not proc.stdout
+    assert f"--count {count} is below 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
