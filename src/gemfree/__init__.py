@@ -6,7 +6,6 @@ from .coloring import (
     CertificationError,
     ClassViolationError,
     ColoringTrace,
-    color_three_omega,
     color_two_omega,
     greedy_coloring,
     verify_proper,

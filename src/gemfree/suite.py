@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .coloring import color_three_omega, color_two_omega, verify_proper
+from .coloring import ClassViolationError, _three_omega, color_two_omega, verify_proper
 from .exact import chi_alpha2_shortcut, chromatic_number, max_clique
 from .generators import (
     ExpansionSpec,
@@ -28,7 +28,7 @@ from .generators import (
 )
 from .graphs import Graph, bits
 from .partition import build_partition, run_all_checks
-from .patterns import NAMED_PATTERNS, cycle_graph, find_induced, is_class_member
+from .patterns import NAMED_PATTERNS, cycle_graph, find_induced
 
 
 @dataclass
@@ -60,12 +60,14 @@ def _timed(fn: Callable[[], CriterionResult]) -> CriterionResult:
 
 def _witness_facts(g: Graph) -> dict[str, Any]:
     """omega, chi, membership, the color count of the certified 2*omega coloring
-    and its `verified` flag. omega is the size of the coloring's clique A."""
+    and its `verified` flag. omega is the size of its clique A; a refused non-member has neither."""
     chi = chromatic_number(g).chi
-    member = is_class_member(g)[0]
-    col, trace = color_two_omega(g)
-    return {"omega": len(trace.A), "chi": chi, "member": member,
-            "two_omega_colors": col.distinct_colors, "verified": trace.verified}
+    try:
+        col, trace = color_two_omega(g)
+    except ClassViolationError:
+        return dict(omega=None, chi=chi, member=False, two_omega_colors=None, verified=False)
+    return dict(omega=len(trace.A), chi=chi, member=True,
+                two_omega_colors=col.distinct_colors, verified=trace.verified)
 
 
 def criterion_1_groetzsch() -> CriterionResult:
@@ -142,8 +144,7 @@ def criterion_5_proposition_bound(seed: int = 0, size_budget: int = 200) -> Crit
                                {"note": f"skipped: size budget {size_budget}"}, skipped=True)
     failures = []
     for i, g in enumerate(corpus):
-        omega = max_clique(g).omega
-        col = color_three_omega(g)  # raises internally if a piece is not P4-free
+        col, omega = _three_omega(g)  # raises internally if a piece is not P4-free
         ok, _ = verify_proper(g, col)
         if not (ok and col.num_colors <= max(3 * omega - 2, 1)):
             failures.append({"index": i, "n": g.n, "omega": omega, "colors": col.num_colors})

@@ -28,7 +28,7 @@ from gemfree.generators import (
     schlafli_complement,
 )
 from gemfree.partition import build_partition
-from gemfree.patterns import NAMED_PATTERNS, cycle_graph
+from gemfree.patterns import NAMED_PATTERNS, cycle_graph, is_class_member
 from gemfree.suite import CriterionResult
 
 from conftest import small_graphs, token_texts
@@ -335,6 +335,32 @@ def test_suite_skip_note_names_the_budget_given(capsys):
     assert code == 0
     notes = {c["id"]: c["details"]["note"] for c in rep["criteria"] if c["skipped"]}
     assert notes == dict.fromkeys((4, 5, 7, 8), "skipped: size budget -1")
+
+
+@pytest.mark.parametrize("criterion", [suite.criterion_1_groetzsch, suite.criterion_2_schlafli],
+                         ids=["groetzsch", "schlafli"])
+def test_witness_criteria_test_membership_once(monkeypatch, criterion):
+    # the 2*omega colourer tests membership; the criterion does not ask again
+    calls = _count_calls(monkeypatch, is_class_member)
+    assert criterion().passed
+    assert len(calls) == 1
+
+
+def test_witness_facts_of_a_non_member(monkeypatch):
+    gem = NAMED_PATTERNS["gem"]
+    assert suite._witness_facts(gem) == {"omega": None, "chi": 3, "member": False,
+                                         "two_omega_colors": None, "verified": False}
+    # the criterion fails with its facts instead of raising out of the suite
+    monkeypatch.setattr(suite, "groetzsch_graph", lambda: gem)
+    res = suite.criterion_1_groetzsch()
+    assert not res.passed and res.details["member"] is False
+
+
+def test_proposition_criterion_finds_omega_once_per_graph(monkeypatch):
+    calls = _count_calls(monkeypatch, max_clique)
+    res = suite.criterion_5_proposition_bound(0, 200)
+    assert res.passed and res.details["corpus_size"] >= 200
+    assert len(calls) == res.details["corpus_size"]
 
 
 @st.composite

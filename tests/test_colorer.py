@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -272,9 +273,12 @@ def test_c12_components_stay_below_omega_on_template_draws():
 
 def test_generated_corpus_fires_every_case_but_case21():
     """The seeded corpus reaches every proof case of the 2*omega colourer
-    except Case 2.1, which the template draws above cover."""
-    fired = {color_two_omega(g)[1].case for g in class_corpus(count=200, seed=0)}
-    assert {"omega<=2", "Case1", "Case2-simple", "Case2.2"} <= fired
+    except Case 2.1, each at least half as often as its 24, 59, 113 and 4
+    firings; `test_case21_cells_are_cliques_on_template_draws` covers Case 2.1.
+    The two tests replace the case-coverage script that used to report this."""
+    fired = Counter(color_two_omega(g)[1].case for g in class_corpus(count=200, seed=0))
+    floors = {"omega<=2": 12, "Case1": 30, "Case2-simple": 55, "Case2.2": 2}
+    assert all(fired[case] >= floor for case, floor in floors.items()), fired
 
 
 def test_case21_certifies_single_clique_cells():

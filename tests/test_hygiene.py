@@ -1,6 +1,6 @@
 """Static hygiene of the package source.
 
-No module, script or test file imports a name it never uses; `__init__.py` is exempt
+No module or test file imports a name it never uses; `__init__.py` is exempt
 because its imports are the package's re-exports, and each of those has a
 caller in the package. No module copies an induced subgraph:
 searches run inside vertex masks of the host instead. No module imports
@@ -24,7 +24,6 @@ from gemfree.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gemfree"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -41,7 +40,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
