@@ -41,7 +41,6 @@ from .graphs import (
 )
 from .partition import WBCPartition, build_partition, run_all_checks
 from .patterns import (
-    Pattern,
     PatternError,
     PatternWitness,
     find_induced,

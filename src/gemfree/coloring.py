@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .graphs import Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors
+from .graphs import (
+    Coloring, Graph, GraphError, bits, cograph_coloring, first_occurrence_colors, mask_of,
+)
 from .partition import WBCPartition, build_partition
 from .patterns import PatternWitness, _components_if_cliques, is_class_member
 
@@ -109,8 +111,12 @@ def _member_partition(g: Graph) -> WBCPartition:
     return build_partition(g)
 
 
-def _certify(g: Graph, colors: Sequence[int], bound: int, bound_name: str) -> Coloring:
-    """Shared colorer tail: totality, the color bound, then properness."""
+def _certify(g: Graph, colors: Sequence[int], a: tuple[int, ...], bound: int,
+             bound_name: str) -> Coloring:
+    """Shared colorer tail: the clique `a` whose size the bound counts,
+    totality, the color bound, then properness."""
+    if not g.is_clique(mask_of(a)):
+        raise CertificationError("A is not a clique")
     if 0 in colors:
         raise CertificationError("coloring not total")
     coloring = Coloring(tuple(colors))
@@ -165,7 +171,7 @@ def color_two_omega(g: Graph) -> tuple[Coloring, ColoringTrace]:
     p = _member_partition(g)
     trace = ColoringTrace(A=p.A)
     try:
-        coloring = _certify(g, _color_cases(g, p, trace), 2 * p.omega, "2*omega")
+        coloring = _certify(g, _color_cases(g, p, trace), p.A, 2 * p.omega, "2*omega")
     except CertificationError as exc:
         exc.trace = trace
         raise
@@ -334,4 +340,5 @@ def _three_omega(g: Graph) -> tuple[Coloring, int]:
 
     # colors are contiguous (each piece uses 1..k, C_{1,2} takes the next
     # ones), so the bound reads the same before and after renumbering
-    return _certify(g, first_occurrence_colors(colors), max(3 * omega - 2, 1), "3*omega-2"), omega
+    return _certify(g, first_occurrence_colors(colors), a, max(3 * omega - 2, 1),
+                   "3*omega-2"), omega

@@ -1,7 +1,8 @@
 """Induced-pattern detection and forbidden-subgraph class membership.
 
-Patterns are small (<= 8 vertices); detection is exact backtracking with
-bitmask candidate pruning, deterministic by ascending host-vertex order.
+A pattern is a name from the catalogue `NAMED_PATTERNS`; detection is exact
+backtracking with bitmask candidate pruning, deterministic by ascending
+host-vertex order.
 Class membership decides the gem and P3 u P2 from cotrees and components
 of the true-twin quotient instead, and backtracks only to name the witness
 of a non-member.
@@ -13,14 +14,12 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph, GraphError, _twin_classes, _vertex_mask, bits, build_graph, cograph_coloring,
-    disjoint_union, join, mask_of,
+    complement, disjoint_union, join, mask_of,
 )
-
-MAX_PATTERN = 8
 
 
 class PatternError(ValueError):
-    """Unsupported pattern (too large / unknown name)."""
+    """Unknown pattern name."""
 
 
 def path_graph(n: int) -> Graph:
@@ -37,61 +36,37 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], f"K{n}")
 
 
-def _named_patterns() -> dict[str, Graph]:
-    from .graphs import complement  # local to keep module top tidy
-
-    p3up2 = disjoint_union(path_graph(3), path_graph(2))
-    k5_minus_e = build_graph(
+# the catalogue: every pattern is one of these names
+NAMED_PATTERNS = {
+    "p2": path_graph(2),
+    "p3": path_graph(3),
+    "p4": path_graph(4),
+    "p5": path_graph(5),
+    "2k2": disjoint_union(path_graph(2), path_graph(2)),
+    "p3up2": disjoint_union(path_graph(3), path_graph(2)),
+    "c4": cycle_graph(4),
+    "c5": cycle_graph(5),
+    "gem": join(complete_graph(1), path_graph(4)),
+    "diamond": join(complete_graph(1), path_graph(3)),
+    "hvn": join(complete_graph(2), disjoint_union(complete_graph(2), complete_graph(1))),
+    "k1+c4": join(complete_graph(1), cycle_graph(4)),
+    "co-p3up2": complement(disjoint_union(path_graph(3), path_graph(2))),
+    "k5-e": build_graph(
         5, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)], "K5-e"
-    )
-    pats = {
-        "p2": path_graph(2),
-        "p3": path_graph(3),
-        "p4": path_graph(4),
-        "p5": path_graph(5),
-        "2k2": disjoint_union(path_graph(2), path_graph(2)),
-        "p3up2": p3up2,
-        "c4": cycle_graph(4),
-        "c5": cycle_graph(5),
-        "gem": join(complete_graph(1), path_graph(4)),
-        "diamond": join(complete_graph(1), path_graph(3)),
-        "hvn": join(complete_graph(2), disjoint_union(complete_graph(2), complete_graph(1))),
-        "k1+c4": join(complete_graph(1), cycle_graph(4)),
-        "co-p3up2": complement(p3up2),
-        "k5-e": k5_minus_e,
-        "k5": complete_graph(5),
-    }
-    return pats
-
-
-NAMED_PATTERNS = _named_patterns()
+    ),
+    "k5": complete_graph(5),
+}
 
 # the class this whole package is about
 DEFAULT_CLASS = ("p3up2", "gem")
 
 
-@dataclass(frozen=True)
-class Pattern:
-    name: str
-    graph: Graph
-
-    def __post_init__(self) -> None:
-        if self.graph.n > MAX_PATTERN:
-            raise PatternError(f"pattern {self.name!r} has more than {MAX_PATTERN} vertices")
-
-
-# built once: membership resolves its family on every call
-_CATALOGUE = {key: Pattern(key, g) for key, g in NAMED_PATTERNS.items()}
-
-
-def pattern(name_or_graph: str | Graph) -> Pattern:
-    """Resolve a pattern by catalogue name (case-insensitive) or explicit graph."""
-    if isinstance(name_or_graph, Graph):
-        return Pattern(name_or_graph.name or "custom", name_or_graph)
-    key = name_or_graph.lower()
-    if key not in _CATALOGUE:
-        raise PatternError(f"unknown pattern name {name_or_graph!r}")
-    return _CATALOGUE[key]
+def pattern(name: str) -> str:
+    """The catalogue key of a pattern name (case-insensitive), which names its witness."""
+    key = name.lower()
+    if key not in NAMED_PATTERNS:
+        raise PatternError(f"unknown pattern name {name!r}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -100,9 +75,7 @@ class PatternWitness:
     embedding: tuple[int, ...]
 
 
-def find_induced(
-    host: Graph, pat: Pattern | str | Graph, within: int | None = None
-) -> PatternWitness | None:
+def find_induced(host: Graph, name: str, within: int | None = None) -> PatternWitness | None:
     """Lexicographically least induced embedding of the pattern inside `within`, or None.
 
     `within` is a vertex mask of the host (default: all vertices). The
@@ -112,8 +85,8 @@ def find_induced(
     or lacks the edge ij. Candidates are tried ascending, so the first hit is
     the lex-least embedding tuple.
     """
-    pat = pat if isinstance(pat, Pattern) else pattern(pat)
-    p = pat.graph
+    key = pattern(name)
+    p = NAMED_PATTERNS[key]
     free = _vertex_mask(host, within)
     assignment = [0] * p.n
 
@@ -131,40 +104,38 @@ def find_induced(
         return False
 
     if place(0, 0):
-        return PatternWitness(pat.name, tuple(assignment))
+        return PatternWitness(key, tuple(assignment))
     return None
 
 
 def is_class_member(
-    host: Graph, forbidden: tuple[str | Pattern | Graph, ...] = DEFAULT_CLASS
+    host: Graph, forbidden: tuple[str, ...] = DEFAULT_CLASS
 ) -> tuple[bool, PatternWitness | None]:
     """F-freeness for a family of forbidden patterns; first witness on failure.
 
-    Patterns are tried in family order. A pattern with the adjacency of the
-    catalogue gem or P3 u P2 goes to its witness function, which decides it
-    on the true-twin quotient (one representative, the least vertex, per
-    class of vertices with equal closed neighbourhoods) and runs
-    `find_induced` only to name the lex-least witness. Any other pattern is
-    searched with `find_induced`.
+    Patterns are tried in family order. The gem and P3 u P2 each go to their
+    witness function, which decides the pattern on the true-twin quotient
+    (one representative, the least vertex, per class of vertices with equal
+    closed neighbourhoods) and runs `find_induced` only to name the
+    lex-least witness. Any other pattern is searched with `find_induced`.
     """
     classes = None
-    for f in forbidden:
-        pat = f if isinstance(f, Pattern) else pattern(f)
-        witness = _STRUCTURAL.get(pat.graph.adj)
+    for name in forbidden:
+        key = pattern(name)
+        witness = _STRUCTURAL.get(key)
         if witness is None:
-            w = find_induced(host, pat)
+            w = find_induced(host, key)
         else:
             if classes is None:
                 classes = _twin_classes(host, host.full_mask)
                 reps = mask_of(classes)
-            w = witness(host, classes, reps, pat)
+            w = witness(host, classes, reps)
         if w is not None:
             return False, w
     return True, None
 
 
-def _gem_witness(host: Graph, classes: dict[int, int], reps: int,
-                 pat: Pattern) -> PatternWitness | None:
+def _gem_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWitness | None:
     """The lex-least gem (K1 joined to P4, the apex as pattern vertex 0): the
     least v with a P4 in N(v), then the lex-least such P4. Both lie among the
     representatives `reps`: a P4 in N(v) has no twin of v (it would see the
@@ -177,12 +148,11 @@ def _gem_witness(host: Graph, classes: dict[int, int], reps: int,
     for v in classes:
         row = host.adj[v] & reps
         if not is_p4_free(host, row):
-            return PatternWitness(pat.name, (v,) + find_induced(host, "p4", row).embedding)
+            return PatternWitness("gem", (v,) + find_induced(host, "p4", row).embedding)
     return None
 
 
-def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int,
-                   pat: Pattern) -> PatternWitness | None:
+def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWitness | None:
     """The lex-least P3 u P2. Only its P2 can be a pair of true twins, so the
     host has one iff some edge uv inside `reps` leaves a P3 in
     reps - (N[u] u N[v]), or some u with a twin (which makes uu' a P2) leaves
@@ -209,15 +179,11 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int,
     for cls in classes.values():
         rest = cls & (cls - 1)
         seconds |= rest & -rest
-    return find_induced(host, pat, reps | seconds)
+    return find_induced(host, "p3up2", reps | seconds)
 
 
-# the witness function of each structural pattern, keyed by its catalogue
-# adjacency, so that a renamed copy of the pattern is decided the same way
-_STRUCTURAL = {
-    NAMED_PATTERNS["gem"].adj: _gem_witness,
-    NAMED_PATTERNS["p3up2"].adj: _p3up2_witness,
-}
+# the witness function of each structural pattern
+_STRUCTURAL = {"gem": _gem_witness, "p3up2": _p3up2_witness}
 
 
 def is_p3_free(g: Graph, within: int | None = None) -> bool:

@@ -69,6 +69,12 @@ def test_check_non_member_witness(files, capsys):
     assert len(rep["witness"]["embedding"]) == 5
 
 
+def test_check_class_names_are_case_insensitive(files, capsys):
+    _, default = run(capsys, "check", files["gem"])
+    code, out = run(capsys, "check", files["gem"], "--class", "GEM,P3UP2")
+    assert code == 1 and json.loads(out)["witness"] == json.loads(default)["witness"]
+
+
 def test_check_refuses_an_empty_class(files, capsys):
     assert main(["check", files["c5"], "--class", ""]) == 2
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gemfree import coloring
+from gemfree import coloring, partition
 from gemfree.cli import main
 from gemfree.coloring import (
     CertificationError,
@@ -17,7 +17,7 @@ from gemfree.coloring import (
     greedy_coloring,
     verify_proper,
 )
-from gemfree.exact import chromatic_number, max_clique
+from gemfree.exact import CliqueResult, chromatic_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
     class_corpus,
@@ -419,4 +419,29 @@ def test_uncolored_vertex_is_certification_failure(algorithm, colorer, step, stu
     assert main(["color", str(path), "--algorithm", algorithm]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["message"] == "coloring not total"
+    assert report["trace"] == (trace.to_json_dict() if trace else None)
+
+
+@pytest.mark.parametrize("algorithm,colorer", [
+    ("two-omega", color_two_omega),
+    ("three-omega", color_three_omega),
+], ids=["two-omega", "three-omega"])
+def test_a_clique_that_is_not_one_is_certification_failure(algorithm, colorer,
+                                                          monkeypatch, tmp_path, capsys):
+    # the colour bound counts A as omega: an edgeless graph handed A = {0, 1}
+    # would pass 3 colours as <= 2*2, although omega is 1
+    monkeypatch.setattr(partition, "max_clique", lambda g: CliqueResult(2, 0b011))
+    g = build_graph(3, [])
+    with pytest.raises(CertificationError, match="A is not a clique") as failure:
+        colorer(g)
+    trace = failure.value.trace
+    if algorithm == "two-omega":
+        assert (trace.A, trace.verified) == ((0, 1), False)
+    else:
+        assert trace is None
+    path = tmp_path / "empty3.col"
+    path.write_text(serialize(g, "dimacs"))
+    assert main(["color", str(path), "--algorithm", algorithm]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["message"]) == ("certification-failure", "A is not a clique")
     assert report["trace"] == (trace.to_json_dict() if trace else None)

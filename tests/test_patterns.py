@@ -13,7 +13,7 @@ from gemfree.generators import (
 )
 from gemfree.exact import max_clique
 from gemfree.graphs import (
-    Graph, GraphError, _twin_classes, bits, build_graph, cograph_coloring, join,
+    GraphError, _twin_classes, bits, build_graph, cograph_coloring, join,
 )
 from gemfree.patterns import (
     DEFAULT_CLASS,
@@ -45,14 +45,14 @@ def test_named_catalogue_sizes():
 
 
 def test_pattern_lookup_case_insensitive():
-    assert pattern("GEM").graph is NAMED_PATTERNS["gem"]
-    with pytest.raises(PatternError):
-        pattern("nonsense")
-
-
-def test_pattern_size_cap():
-    with pytest.raises(PatternError):
-        pattern(cycle_graph(9))
+    # the lower-case catalogue key names the witness, whatever the spelling
+    assert pattern("GEM") == "gem"
+    assert is_class_member(NAMED_PATTERNS["gem"], ("GEM",)) == (
+        False, PatternWitness("gem", (0, 1, 2, 3, 4)))
+    assert find_induced(path_graph(4), "P4").pattern_name == "p4"
+    for unknown in (pattern, lambda name: find_induced(complete_graph(3), name)):
+        with pytest.raises(PatternError, match="unknown pattern name 'k3'"):
+            unknown("k3")
 
 
 def test_gem_contains_itself():
@@ -160,24 +160,22 @@ def test_masked_p4_test_matches_pattern_search(g, data):
     assert is_p4_free(g, within) is (find_induced(g, "p4", within) is None)
 
 
-EMPTY = build_graph(0, [], "K0")  # an induced subgraph of every graph, witness ()
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(min_n=2, max_n=7), st.integers(min_value=0, max_value=127))
 @example(build_graph(2, [(0, 1)]), 0)  # an empty mask
 def test_find_induced_matches_bruteforce(g, mask):
-    for pat in (*(NAMED_PATTERNS[name] for name in ("p3", "p4", "2k2", "c4", "diamond")), EMPTY):
+    for name in ("p3", "p4", "2k2", "c4", "diamond"):
+        pat = NAMED_PATTERNS[name]
         brute = _brute_force_contains(g, _labeled_codes(pat), pat.n)
-        assert (find_induced(g, pat) is not None) == brute
+        assert (find_induced(g, name) is not None) == brute
     # inside a vertex mask: the first embedding in lexicographic order
     mask &= g.full_mask
-    for pat in (*map(pattern, ("p3", "p4", "p3up2", "gem")), pattern(EMPTY)):
-        first = next((emb for emb in itertools.permutations(bits(mask), pat.graph.n)
-                      if _induces(g, pat.graph, emb)), None)
-        w = find_induced(g, pat, mask)
+    for name in ("p3", "p4", "p3up2", "gem"):
+        pat = NAMED_PATTERNS[name]
+        first = next((emb for emb in itertools.permutations(bits(mask), pat.n)
+                      if _induces(g, pat, emb)), None)
+        w = find_induced(g, name, mask)
         assert (w.embedding if w else None) == first
-    assert is_class_member(g, (EMPTY,)) == (False, PatternWitness("K0", ()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,10 +200,6 @@ FAMILIES = {
     "gem": ("gem",),
     "p3up2": ("p3up2",),
     "gem,p3up2": ("gem", "p3up2"),
-    "gem-graph": (NAMED_PATTERNS["gem"],),
-    "p3up2-graph": (NAMED_PATTERNS["p3up2"],),
-    # a renamed copy still goes to its witness function, which names the witness
-    "renamed-gem,p3up2": (Graph(5, NAMED_PATTERNS["gem"].adj, "mine"), "p3up2"),
 }
 
 
