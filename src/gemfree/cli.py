@@ -72,9 +72,8 @@ def _load(args: argparse.Namespace) -> tuple[Graph, str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g, sha = _load(args)
-    forbidden = DEFAULT_CLASS if args.cls is None else tuple(s.strip() for s in args.cls.split(","))
-    for name in forbidden:
-        pattern(name)  # validate names up front
+    forbidden = (DEFAULT_CLASS if args.cls is None
+                 else tuple(pattern(s.strip()) for s in args.cls.split(",")))
     member, witness = is_class_member(g, forbidden)
     rep = _base_report(args, sha, n=g.n, m=g.num_edges, forbidden=list(forbidden), member=member)
     if witness is not None:

@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 from .exact import max_clique
 from .graphs import Graph, bits, mask_of
-from .patterns import _components_if_cliques, find_induced, is_p4_free
+from .patterns import find_induced, is_p3_free, is_p4_free
 
 LexPair = tuple[int, int]  # 1-based clique positions, i < j
 
@@ -141,7 +141,7 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     """
     entries = []
     for (i, j), cell in p.C.items():
-        w = None if _components_if_cliques(g, cell) is not None else find_induced(g, "p3", cell)
+        w = None if is_p3_free(g, cell) else find_induced(g, "p3", cell)
         entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]

@@ -142,12 +142,14 @@ def _gem_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWitn
     other three) nor two twins of each other, twins have isomorphic N(v), and
     trading a vertex for its representative keeps a P4 and lowers the tuple.
     The representatives are walked as the keys of `classes`, ascending,
-    which is cheaper than walking the bits of `reps`. `is_p4_free` settles a
-    P3-free N(v), such as an independent set or a matching, with one P3 walk,
-    so a triangle-free host never reaches the cotree walk."""
+    which is cheaper than walking the bits of `reps`. A P4 holds a P3, so the
+    P3 walk `_components_if_cliques` settles a P3-free N(v), such as an
+    independent set or a matching, and only an N(v) with a P3 goes on to the
+    cotree walk `cograph_coloring`; a triangle-free host never reaches it."""
     for v in classes:
         row = host.adj[v] & reps
-        if not is_p4_free(host, row):
+        if (_components_if_cliques(host, row) is None
+                and cograph_coloring(host, row, [0] * host.n) is None):
             return PatternWitness("gem", (v,) + find_induced(host, "p4", row).embedding)
     return None
 
@@ -158,21 +160,28 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWi
     reps - (N[u] u N[v]), or some u with a twin (which makes uu' a P2) leaves
     one in reps - N[u]. That last set contains what every edge at u leaves,
     and P3-freeness is hereditary, so only edges between twinless
-    representatives are tried, each from its larger end. Trading a vertex
+    representatives are tried, each from its larger end. Each set goes
+    straight to the P3 walk `_components_if_cliques`. Trading a vertex
     for a smaller twin keeps a P3 u P2 and lowers the tuple unless it is the
     P2's twin, so the lex-least one lies among the representatives and the
     second least vertex of each class."""
+    adj = host.adj
     single = 0  # the twinless representatives below u
     for u, cls in classes.items():
-        outside_u = reps & ~(host.adj[u] | 1 << u)
+        outside_u = reps & ~(adj[u] | 1 << u)
         if cls != 1 << u:
-            found = not is_p3_free(host, outside_u)
-        else:
-            found = not all(is_p3_free(host, outside_u & ~host.adj[v])
-                            for v in bits(host.adj[u] & single))
-            single |= cls
-        if found:
+            if _components_if_cliques(host, outside_u) is None:
+                break
+            continue
+        ends = adj[u] & single
+        while ends:
+            low = ends & -ends
+            if _components_if_cliques(host, outside_u & ~adj[low.bit_length() - 1]) is None:
+                break
+            ends ^= low
+        if ends:  # the walk stopped at a P3
             break
+        single |= cls
     else:
         return None
     seconds = 0
@@ -195,14 +204,18 @@ def _components_if_cliques(g: Graph, mask: int) -> list[int] | None:
     """The components of <mask>, ascending by least vertex, if all are cliques,
     else None (<mask> has an induced P3). In a P3-free set the component of v
     is its closed neighbourhood inside <mask>, the same for each vertex of it."""
+    adj = g.adj
     comps = []
     rest = mask
     while rest:
         low = rest & -rest
-        comp = (g.adj[low.bit_length() - 1] & mask) | low
-        for x in bits(comp):
-            if (g.adj[x] & mask) | 1 << x != comp:
+        comp = (adj[low.bit_length() - 1] & mask) | low
+        others = comp ^ low  # the least vertex's row is comp itself
+        while others:
+            x = others & -others
+            if (adj[x.bit_length() - 1] & mask) | x != comp:
                 return None
+            others ^= x
         comps.append(comp)
         rest &= ~comp
     return comps

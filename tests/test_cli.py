@@ -73,6 +73,9 @@ def test_check_class_names_are_case_insensitive(files, capsys):
     _, default = run(capsys, "check", files["gem"])
     code, out = run(capsys, "check", files["gem"], "--class", "GEM,P3UP2")
     assert code == 1 and json.loads(out)["witness"] == json.loads(default)["witness"]
+    # the report names the class by catalogue key, whatever the spelling
+    assert run(capsys, "check", files["gem"], "--class", "gem,p3up2") == (code, out)
+    assert json.loads(out)["forbidden"] == ["gem", "p3up2"]
 
 
 def test_check_refuses_an_empty_class(files, capsys):

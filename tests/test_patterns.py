@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,6 +264,40 @@ def test_membership_matches_pattern_search_on_atlas(atlas, family):
         assert is_class_member(g, forbidden) == _searched_membership(g, forbidden), g.edges()
 
 
+def _schlafli_subgraph(seed, planted):
+    """A seeded induced subgraph of the Schläfli complement on 12..26 vertices,
+    relabelled at random, with the adjacency among five of its vertices
+    overwritten by the pattern `planted`, or with one vertex pair toggled
+    ("flip"), or left as it is (None)."""
+    rng = random.Random(seed)
+    s = schlafli_complement()
+    keep = rng.sample(range(s.n), rng.randint(12, 26))
+    label = {v: i for i, v in enumerate(keep)}
+    edges = {tuple(sorted((label[u], label[v]))) for u, v in s.edges() if u in label and v in label}
+    if planted == "flip":
+        edges ^= {tuple(sorted(rng.sample(range(len(keep)), 2)))}
+    elif planted is not None:
+        spots = rng.sample(range(len(keep)), 5)
+        edges = {(u, v) for u, v in edges if not (u in spots and v in spots)}
+        edges |= {tuple(sorted((spots[a], spots[b]))) for a, b in NAMED_PATTERNS[planted].edges()}
+    return build_graph(len(keep), edges)
+
+
+@pytest.mark.parametrize("planted", [None, "gem", "p3up2", "flip"])
+@pytest.mark.parametrize("seed", range(10))
+def test_membership_matches_pattern_search_on_schlafli_subgraphs(seed, planted):
+    """Twin-free or nearly so, at the sizes where membership takes its time:
+    every representative and most edges reach a P3 walk. A toggled pair
+    leaves few copies of either pattern for the deciders to find."""
+    g = _schlafli_subgraph(seed, planted)
+    if planted != "flip":
+        assert is_class_member(g)[0] is (planted is None)
+    if planted in ("gem", "p3up2"):
+        assert not is_class_member(g, (planted,))[0]
+    for forbidden in FAMILIES.values():
+        assert is_class_member(g, forbidden) == _searched_membership(g, forbidden)
+
+
 def _closed_neighbourhood_quotient(host):
     """(reps, multi, seconds) from one pass over the rows: the least vertex of
     each class of equal closed neighbourhoods, those with a twin, and the
@@ -354,17 +389,26 @@ def test_gem_test_walks_cotrees_only_of_sets_with_a_p3(make, family, member, mon
 
 
 def test_membership_runs_on_the_twin_quotient(monkeypatch):
-    """K[C5](102), n=510: five twin classes, so a handful of kernel calls."""
-    g = complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5))
-    calls = {"find_induced": 0, "is_p3_free": 0, "is_p4_free": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(gemfree.patterns, name)):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(gemfree.patterns, name, counted)
-    assert is_class_member(g) == (True, None)
-    assert calls["find_induced"] == 0
-    assert calls["is_p3_free"] <= 10 and calls["is_p4_free"] <= 5
+    """The deciders make one P3 walk per representative and per edge between
+    twinless representatives, and search for no pattern on a member."""
+    cases = [
+        # five twin classes: one walk of N(v) per representative for the gem,
+        # and one of R - N[u] per representative for P3 u P2, each with a twin
+        (complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5)), 5 + 5),
+        # twin-free SRG(27,10,1,5): 27 walks for the gem, then one per edge,
+        # 27 * 10 / 2 = 135, for P3 u P2
+        (schlafli_complement(), 27 + 135),
+    ]
+    for g, walks in cases:
+        calls = {"find_induced": 0, "_components_if_cliques": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(gemfree.patterns, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(gemfree.patterns, name, counted)
+        assert is_class_member(g) == (True, None)
+        assert calls == {"find_induced": 0, "_components_if_cliques": walks}
+        monkeypatch.undo()
 
 
 def test_witness_search_runs_on_the_twin_quotient(monkeypatch):
