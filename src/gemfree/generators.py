@@ -7,11 +7,14 @@ expansions of C5 realizing chi = ceil(5*omega/4).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
-from .graphs import MAX_VERTICES, Graph, GraphError, _check_vertex_count, bits, build_graph
+from .graphs import (
+    MAX_VERTICES, Graph, GraphError, _check_vertex_count, _trusted_graph, bits, build_graph,
+)
 from .patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -74,15 +77,17 @@ def mycielskian(g: Graph) -> Graph:
 
 def groetzsch_graph() -> Graph:
     g = mycielskian(cycle_graph(5))
-    return Graph(g.n, g.adj, "groetzsch")
+    return _trusted_graph(g.n, g.adj, "groetzsch")
 
 
+@functools.cache
 def schlafli_complement() -> Graph:
     """Intersection graph of the 27 lines on a cubic surface.
 
     Vertices: a_1..a_6, b_1..b_6, c_{ij} (i<j). Adjacency: a_i ~ b_j iff
     i != j; a_i, b_i ~ c_{jk} iff i in {j,k}; c_{ij} ~ c_{kl} iff the index
-    pairs are disjoint. Verified strongly regular (27, 10, 1, 5) on build.
+    pairs are disjoint. Verified strongly regular (27, 10, 1, 5) on the one
+    build per process; the graph is immutable, so every call returns it.
     """
     labels: list[tuple[str, object]] = [("a", i) for i in range(1, 7)]
     labels += [("b", i) for i in range(1, 7)]

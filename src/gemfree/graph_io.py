@@ -25,19 +25,11 @@ def _bad_edge(u: int, v: int, n: int, base: int) -> str | None:
     return f"endpoint {v if base <= u < end else u} outside {base}..{end - 1}"
 
 
-def _graph(n: int, edges: list[tuple[int, int]], name: str) -> Graph:
-    """The graph of edges the reader has already checked, each naming its line."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _trusted_graph(n, tuple(adj), name)
-
-
 def parse_dimacs(text: str, name: str = "") -> Graph:
     """DIMACS .col: `p edge n m` header, then m `e u v` lines with 1-based endpoints."""
     n = m = None
-    edges = []
+    adj: list[int] = []
+    found = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -50,6 +42,7 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
                 raise GraphError(f"bad DIMACS header on line {lineno}: {line!r}")
             n, m = _int(parts[2], lineno, line), _int(parts[3], lineno, line)
             _check_vertex_count(n)
+            adj = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"DIMACS edge line {lineno} before header: {line!r}")
@@ -58,14 +51,16 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
             u, v = _int(parts[1], lineno, line), _int(parts[2], lineno, line)
             if problem := _bad_edge(u, v, n, 1):
                 raise GraphError(f"{problem} on line {lineno}: {line!r}")
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+            found += 1
         else:
             raise GraphError(f"unrecognized DIMACS line {lineno}: {line!r}")
     if n is None:
         raise GraphError("missing DIMACS header")
-    if len(edges) != m:
-        raise GraphError(f"expected {m} edge lines, found {len(edges)}")
-    return _graph(n, edges, name)
+    if found != m:
+        raise GraphError(f"expected {m} edge lines, found {found}")
+    return _trusted_graph(n, tuple(adj), name)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -90,7 +85,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
     _check_vertex_count(n)
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
+    adj = [0] * n
     for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -98,8 +93,9 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
         u, v = _int(parts[0], lineno, ln), _int(parts[1], lineno, ln)
         if problem := _bad_edge(u, v, n, 0):
             raise GraphError(f"{problem} on line {lineno}: {ln!r}")
-        edges.append((u, v))
-    return _graph(n, edges, name)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _trusted_graph(n, tuple(adj), name)
 
 
 def to_edgelist(g: Graph) -> str:
@@ -126,18 +122,19 @@ def parse_json_graph(text: str, name: str = "") -> Graph:
     _check_vertex_count(n)
     if not isinstance(data["edges"], list):
         raise GraphError("bad JSON graph object: edges must be a list")
-    edges = []
+    adj = [0] * n
     for i, e in enumerate(data["edges"]):
         if not isinstance(e, list) or len(e) != 2:
             raise GraphError(f"bad JSON graph object: edges[{i}] must be a pair [u, v], got {e!r}")
         u, v = _json_int(e[0], f"edges[{i}][0]"), _json_int(e[1], f"edges[{i}][1]")
         if problem := _bad_edge(u, v, n, 0):
             raise GraphError(f"bad JSON graph object: {problem} in edges[{i}]")
-        edges.append((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     name = data.get("name", name)
     if not isinstance(name, str):
         raise GraphError(f"bad JSON graph object: name must be a string, got {name!r}")
-    return _graph(n, edges, name)
+    return _trusted_graph(n, tuple(adj), name)
 
 
 def to_json_graph(g: Graph) -> str:

@@ -1,8 +1,8 @@
 """Immutable simple graphs over dense 0-based vertices with bitmask adjacency.
 
 Vertex sets are plain Python ints used as bit vectors (bit v set means vertex
-v is in the set), which keeps set algebra to single machine operations for the
-sizes this package targets (n <= 512).
+v is in the set), so set algebra is int arithmetic on at most 512 bits, the
+largest n this package supports.
 """
 
 from __future__ import annotations

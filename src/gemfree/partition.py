@@ -13,10 +13,11 @@ does `to_json_dict`. An absent pair is an empty cell: C = C' = 0 and D = every
 position.
 
 The checkers turn the structural statements that hold for (P3 u P2)-free /
-gem-free / class-member graphs into executable predicates with machine-readable
-reports; on class members every clause must pass. They walk the non-empty
-cells only: a clause about an absent cell holds vacuously and is neither built
-nor counted, so a report's `num_entries` counts the clauses checked.
+gem-free / class-member graphs into executable predicates; a report holds the
+failed clauses, as JSON objects, and a count. On class members every clause
+must pass. The checkers walk the non-empty cells only: a clause about an absent
+cell holds vacuously and is neither checked nor counted, so a report's
+`num_entries` counts the clauses checked.
 """
 
 from __future__ import annotations
@@ -83,26 +84,16 @@ def build_partition(g: Graph) -> WBCPartition:
 
 
 @dataclass(frozen=True)
-class CheckEntry:
-    clause: str
-    bindings: dict[str, Any]
-    ok: bool
-    witness: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
 class CheckReport:
     name: str
     applicable: bool
-    entries: tuple[CheckEntry, ...] = ()
+    failures: tuple[dict[str, Any], ...] = ()  # each failed clause's JSON object, in clause order
+    num_entries: int = 0  # the clauses checked
     reason: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.applicable and all(e.ok for e in self.entries)
-
-    def failures(self) -> list[CheckEntry]:
-        return [e for e in self.entries if not e.ok]
+        return self.applicable and not self.failures
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -110,18 +101,24 @@ class CheckReport:
             "applicable": self.applicable,
             "passed": self.passed,
             "reason": self.reason,
-            "failures": [
-                {"clause": e.clause, "bindings": e.bindings, "witness": e.witness}
-                for e in self.failures()
-            ],
-            "num_entries": len(self.entries),
+            "failures": list(self.failures),
+            "num_entries": self.num_entries,
         }
 
 
-def _entry(clause: str, bindings: dict[str, Any], witness: Iterable[int]) -> CheckEntry:
-    """A clause holds iff its witness (offending vertices or first pair) is empty."""
-    w = tuple(witness)
-    return CheckEntry(clause, bindings, not w, w or None)
+def _failure(clause: str, bindings: dict[str, Any],
+             witness: Iterable[int] | bool) -> dict[str, Any] | None:
+    """The clause's failure, or None if it holds. A set clause holds iff its
+    witness (offending vertices or first pair) is empty; a bound clause passes
+    its truth value and fails with witness None."""
+    w = None if isinstance(witness, bool) else tuple(witness)
+    if witness is True or w == ():
+        return None
+    return {"clause": clause, "bindings": bindings, "witness": w}
+
+
+def _report(name: str, results: list[dict[str, Any] | None]) -> CheckReport:
+    return CheckReport(name, True, tuple(r for r in results if r), len(results))
 
 
 def _first_pair(g: Graph, s: int, t: int, flip: int) -> tuple[int, ...]:
@@ -139,14 +136,14 @@ def check_fact1(g: Graph, p: WBCPartition) -> CheckReport:
     (i) each <C_{i,j}> is P3-free (disjoint union of cliques);
     (ii) a in C_{i,j} is adjacent to v_1..v_j except v_i, v_j.
     """
-    entries = []
+    out = []
     for (i, j), cell in p.C.items():
         w = None if is_p3_free(g, cell) else find_induced(g, "p3", cell)
-        entries.append(_entry("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
+        out.append(_failure("fact1.i", {"i": i, "j": j}, w.embedding if w else ()))
         for a in bits(cell):
             bad = [k for k in range(1, j + 1) if k not in (i, j) and not g.has_edge(a, p.A[k - 1])]
-            entries.append(_entry("fact1.ii", {"i": i, "j": j, "a": a}, bad))
-    return CheckReport("fact1", True, tuple(entries))
+            out.append(_failure("fact1.ii", {"i": i, "j": j, "a": a}, bad))
+    return _report("fact1", out)
 
 
 def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
@@ -156,34 +153,31 @@ def check_lemma_gem(g: Graph, p: WBCPartition) -> CheckReport:
     (iii) a missing v_l has no neighbor in I_l; (iv) component clique number is
     at most the number of clique vertices with no neighbor in the component.
     """
-    entries = []
+    out = []
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
             continue
         comps = g.components(cell)  # a P4 is connected: split the cell once for every clause
         w = None if all(is_p4_free(g, c) for c in comps) else find_induced(g, "p4", cell)
-        entries.append(_entry("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
+        out.append(_failure("lemma_gem.i", {"i": i, "j": j}, w.embedding if w else ()))
         for comp in comps:
             cmin = (comp & -comp).bit_length() - 1
             for ell in range(1, omega + 1):
                 row = g.adj[p.A[ell - 1]]
                 if row & comp:
-                    entries.append(_entry("lemma_gem.ii", {"i": i, "j": j, "component_min": cmin,
-                                                           "l": ell}, bits(comp & ~row)))
+                    out.append(_failure("lemma_gem.ii", {"i": i, "j": j, "component_min": cmin,
+                                                         "l": ell}, bits(comp & ~row)))
             wc = max_clique(g, comp).omega
             bound = sum(1 for k in range(1, omega + 1) if not g.adj[p.A[k - 1]] & comp)
-            entries.append(CheckEntry(
-                "lemma_gem.iv",
-                {"i": i, "j": j, "component_min": cmin, "omega_H": wc, "bound": bound},
-                wc <= bound,
-            ))
+            out.append(_failure("lemma_gem.iv", {"i": i, "j": j, "component_min": cmin,
+                                                 "omega_H": wc, "bound": bound}, wc <= bound))
         for a in bits(cell):
             for ell in range(1, omega + 1):
                 if not g.has_edge(a, p.A[ell - 1]):
-                    entries.append(_entry("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
-                                          bits(g.adj[a] & p.I[ell - 1])))
-    return CheckReport("lemma_gem", True, tuple(entries))
+                    out.append(_failure("lemma_gem.iii", {"i": i, "j": j, "a": a, "l": ell},
+                                        bits(g.adj[a] & p.I[ell - 1])))
+    return _report("lemma_gem", out)
 
 
 def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
@@ -197,7 +191,7 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
     """
     if p.omega < 3:
         return CheckReport("lemma_class", False, reason="requires omega >= 3")
-    entries = []
+    out = []
     omega = p.omega
     for (i, j), cell in p.C.items():
         if j < 3:
@@ -207,43 +201,39 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
         for ell in range(1, omega + 1):
             row = g.adj[p.A[ell - 1]]
             if row & cell:
-                entries.append(_entry("lemma_class.i", {"i": i, "j": j, "l": ell},
-                                      bits(cp & ~row)))
+                out.append(_failure("lemma_class.i", {"i": i, "j": j, "l": ell}, bits(cp & ~row)))
             if cp & ~row:
-                entries.append(_entry("lemma_class.i-consequence", {"i": i, "j": j, "l": ell},
-                                      bits(row & cell)))
+                out.append(_failure("lemma_class.i-consequence", {"i": i, "j": j, "l": ell},
+                                    bits(row & cell)))
         # (ii)
-        wc = max_clique(g, cp).omega
-        entries.append(CheckEntry(
-            "lemma_class.ii",
-            {"i": i, "j": j, "omega_Cprime": wc, "D_size": len(p.D[(i, j)])},
-            wc <= len(p.D[(i, j)]),
-        ))
+        wc, d_size = max_clique(g, cp).omega, len(p.D[(i, j)])
+        out.append(_failure("lemma_class.ii", {"i": i, "j": j, "omega_Cprime": wc,
+                                               "D_size": d_size}, wc <= d_size))
         # (iii) and (iv) share the later cells of both rows and, for j >= 4, the column;
         # a clause about an absent cell holds vacuously, so only cells in p.C are checked
         later = [other for ell in range(j + 1, omega + 1) for other in ((i, ell), (j, ell))
                  if other in p.C]
         column = [(k, j) for k in range(1, j) if k != i and (k, j) in p.C] if j >= 4 else []
         for other in later:
-            entries.append(_entry("lemma_class.iii", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C[other], 0)))
+            out.append(_failure("lemma_class.iii", {"cell": (i, j), "other": other},
+                                _first_pair(g, cell, p.C[other], 0)))
         for other in column:
-            entries.append(_entry("lemma_class.iii-column", {"cell": (i, j), "other": other},
-                                  _first_pair(g, cell, p.C[other], 0)))
+            out.append(_failure("lemma_class.iii-column", {"cell": (i, j), "other": other},
+                                _first_pair(g, cell, p.C[other], 0)))
         if cp:
             for other in later:
-                entries.append(_entry("lemma_class.iv", {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C[other])))
+                out.append(_failure("lemma_class.iv", {"cell": (i, j), "must_be_empty": other},
+                                    bits(p.C[other])))
             for ell in range(max(3, i + 1), j):
                 if (i, ell) in p.C:
-                    entries.append(_entry("lemma_class.iv",
-                                          {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
-                                          bits(p.Cprime[(i, ell)])))
+                    out.append(_failure("lemma_class.iv",
+                                        {"cell": (i, j), "must_be_Cprime_empty": (i, ell)},
+                                        bits(p.Cprime[(i, ell)])))
             for other in column:
-                entries.append(_entry("lemma_class.iv-column",
-                                      {"cell": (i, j), "must_be_empty": other},
-                                      bits(p.C[other])))
-    return CheckReport("lemma_class", True, tuple(entries))
+                out.append(_failure("lemma_class.iv-column",
+                                    {"cell": (i, j), "must_be_empty": other},
+                                    bits(p.C[other])))
+    return _report("lemma_class", out)
 
 
 def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:
@@ -255,14 +245,14 @@ def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:
     for (i, j), cp in p.Cprime.items():
         if i <= 2 and j >= 3:
             left |= cp
-    entries = []
+    out = []
     for (r, s), cell in p.C.items():
         if r < 3:
             continue
         target = cell | (1 << p.A[r - 1]) | (1 << p.A[s - 1])
-        entries.append(_entry("claim1", {"r": r, "s": s},
-                              _first_pair(g, left & ~target, target & ~left, -1)))
-    return CheckReport("claim1", True, tuple(entries))
+        out.append(_failure("claim1", {"r": r, "s": s},
+                            _first_pair(g, left & ~target, target & ~left, -1)))
+    return _report("claim1", out)
 
 
 def run_all_checks(g: Graph, p: WBCPartition) -> dict[str, CheckReport]:

@@ -119,7 +119,7 @@ def _sampled_corpus(seed: int, count: int) -> list[Graph]:
     return class_corpus(count=count, n_range=(5, 14), seed=seed)
 
 
-def criterion_4_theorem_bound(seed: int = 0, size_budget: int = 200) -> CriterionResult:
+def criterion_4_theorem_bound(seed: int, size_budget: int) -> CriterionResult:
     corpus = _corpus(seed, size_budget)
     if not corpus:
         return CriterionResult(4, "theorem bound on sampled corpus", True,
@@ -137,7 +137,7 @@ def criterion_4_theorem_bound(seed: int = 0, size_budget: int = 200) -> Criterio
         not failures, {"corpus_size": len(corpus), "failures": failures})
 
 
-def criterion_5_proposition_bound(seed: int = 0, size_budget: int = 200) -> CriterionResult:
+def criterion_5_proposition_bound(seed: int, size_budget: int) -> CriterionResult:
     corpus = _corpus(seed, size_budget)
     if not corpus:
         return CriterionResult(5, "proposition bound on sampled corpus", True,
@@ -153,7 +153,7 @@ def criterion_5_proposition_bound(seed: int = 0, size_budget: int = 200) -> Crit
         not failures, {"corpus_size": len(corpus), "failures": failures})
 
 
-def criterion_6_lemma_suite(seed: int = 0, size_budget: int = 200) -> CriterionResult:
+def criterion_6_lemma_suite(seed: int, size_budget: int) -> CriterionResult:
     corpus = _corpus(seed, size_budget)
     corpus = corpus + [groetzsch_graph(), schlafli_complement()]
     failures = []
@@ -167,7 +167,7 @@ def criterion_6_lemma_suite(seed: int = 0, size_budget: int = 200) -> CriterionR
             applicable += 1
             if not rep.passed:
                 failures.append({"index": i, "n": g.n, "check": name,
-                                 "failures": [e.clause for e in rep.failures()]})
+                                 "failures": [f["clause"] for f in rep.failures]})
     return CriterionResult(
         6, "fact1/lemma_gem/lemma_class/claim1 pass on every member meeting preconditions",
         not failures, {"graphs": len(corpus), "applicable_reports": applicable,
@@ -201,7 +201,7 @@ def _labeled_codes(pattern: Graph) -> set[int]:
 ORACLE_PATTERNS = ("p3", "p4", "2k2", "p3up2", "gem", "diamond", "c4")
 
 
-def criterion_7_pattern_oracle(seed: int = 0, size_budget: int = 500) -> CriterionResult:
+def criterion_7_pattern_oracle(seed: int, size_budget: int) -> CriterionResult:
     if size_budget <= 0:
         return CriterionResult(7, "pattern oracle equivalence", True,
                                {"note": f"skipped: size budget {size_budget}"}, skipped=True)
@@ -247,7 +247,7 @@ def _exhaustive_chi(g: Graph) -> int:
     return 0
 
 
-def criterion_8_exact_oracle(seed: int = 0, size_budget: int = 300) -> CriterionResult:
+def criterion_8_exact_oracle(seed: int, size_budget: int) -> CriterionResult:
     if size_budget <= 0:
         return CriterionResult(8, "exact oracle self-check", True,
                                {"note": f"skipped: size budget {size_budget}"}, skipped=True)
@@ -273,7 +273,7 @@ def criterion_8_exact_oracle(seed: int = 0, size_budget: int = 300) -> Criterion
         {"graphs": count, "mismatches": mismatches, "mycielski_failures": myc_fail})
 
 
-def run_suite(seed: int = 0, size_budget: int = 200) -> list[CriterionResult]:
+def run_suite(seed: int, size_budget: int) -> list[CriterionResult]:
     return [
         _timed(criterion_1_groetzsch),
         _timed(criterion_2_schlafli),

@@ -43,8 +43,8 @@ def test_criterion_3_lower_bound_family():
 
 
 def test_criterion_4_theorem_bound_sampled():
-    _check(_timed(lambda: criterion_4_theorem_bound(SEED, BUDGET)), 120.0)
-    res = criterion_4_theorem_bound(SEED, BUDGET)
+    res = _timed(lambda: criterion_4_theorem_bound(SEED, BUDGET))
+    _check(res, 120.0)
     assert res.details["corpus_size"] >= 200
 
 

@@ -69,6 +69,13 @@ def test_check_non_member_witness(files, capsys):
     assert len(rep["witness"]["embedding"]) == 5
 
 
+def test_check_searches_other_patterns(files, capsys):
+    # a pattern other than the gem and P3 u P2 is searched in the host itself
+    code, out = run(capsys, "check", files["groetzsch"], "--class", "2k2")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"pattern": "2k2", "embedding": [0, 1, 8, 10]}
+
+
 def test_check_class_names_are_case_insensitive(files, capsys):
     _, default = run(capsys, "check", files["gem"])
     code, out = run(capsys, "check", files["gem"], "--class", "GEM,P3UP2")

@@ -16,7 +16,7 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
-from gemfree.graphs import MAX_VERTICES, GraphError, build_graph, complement, mask_of
+from gemfree.graphs import MAX_VERTICES, Graph, GraphError, build_graph, complement, mask_of
 from gemfree.patterns import (
     complete_graph,
     cycle_graph,
@@ -64,6 +64,7 @@ def test_mycielskian_k2_is_c5():
 def test_groetzsch_counts():
     g = groetzsch_graph()
     assert g.n == 11 and g.num_edges == 20
+    assert Graph(g.n, g.adj, "groetzsch") == g  # the rows pass the full check
     assert max_clique(g).omega == 2
     assert chromatic_number(g).chi == 4
 
@@ -87,6 +88,11 @@ def test_schlafli_complement_parameters():
     assert max_clique(g).omega == 3
     assert max_clique(complement(g)).omega == 6
     assert is_class_member(g)[0]
+
+
+def test_schlafli_complement_is_built_once():
+    # an immutable graph: the model and its SRG self-check run once per process
+    assert schlafli_complement() is schlafli_complement()
 
 
 @pytest.mark.parametrize("g,params", [

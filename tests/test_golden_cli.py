@@ -26,11 +26,16 @@ from gemfree.generators import (
     schlafli_complement,
 )
 from gemfree.graph_io import serialize
+from gemfree.graphs import build_graph
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph
 
 from conftest import case21_graph
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+# a non-member whose partition report fails both bound clauses (lemma_gem.iv,
+# lemma_class.ii) and set clauses of lemma_gem, lemma_class and claim1
+BOUND_FAILURES = ("0-1 0-3 0-4 0-5 0-8 0-9 1-2 1-3 1-4 1-8 1-9 2-3 2-5 2-7 2-8 3-5 3-7 3-8 3-9 "
+                  "4-5 4-6 4-7 4-9 5-6 5-7 5-8 5-9 6-7 6-9 7-9")
 COMMANDS = [
     ["check"],
     *(["color", "--algorithm", a] for a in ("two-omega", "three-omega", "greedy", "exact")),
@@ -45,6 +50,8 @@ INPUTS = {
     "corpus-5": lambda: class_corpus(count=6, seed=1)[5],  # Case1
     "corpus-7": lambda: class_corpus(count=8, seed=1)[7],  # Case2-simple
     "gem": lambda: NAMED_PATTERNS["gem"],  # non-member
+    "bound-failures": lambda: build_graph(  # non-member
+        10, [tuple(map(int, e.split("-"))) for e in BOUND_FAILURES.split()]),
 }
 
 

@@ -133,18 +133,38 @@ def _verdict(report):
     return d["applicable"], d["passed"], d["failures"]
 
 
-def _cells(entry):
+def _cells(bindings):
     """The cells a fact1, lemma_gem or lemma_class clause is about."""
-    named = [v for v in entry.bindings.values() if isinstance(v, tuple)]
-    return named or [(entry.bindings["i"], entry.bindings["j"])]
+    named = [v for v in bindings.values() if isinstance(v, tuple)]
+    return named or [(bindings["i"], bindings["j"])]
 
 
-def test_checks_match_the_every_pair_partition(atlas, corpus):
+@pytest.fixture
+def clause_calls(monkeypatch):
+    """Every clause the checkers decide, as (clause, bindings, failure or None),
+    in order: the calls of the one clause function, recorded."""
+    calls = []
+
+    def recorded(clause, bindings, witness, _f=gemfree.partition._failure):
+        failure = _f(clause, bindings, witness)
+        calls.append((clause, bindings, failure))
+        return failure
+    monkeypatch.setattr(gemfree.partition, "_failure", recorded)
+    return calls
+
+
+def _checked(calls, check, g, p):
+    """The report of `check` on (g, p) and the clauses it decided."""
+    calls.clear()
+    return check(g, p), calls[:]
+
+
+def test_checks_match_the_every_pair_partition(atlas, corpus, clause_calls):
     """fact1, lemma_gem and lemma_class give the same verdicts and failures, in
     order, on the sparse partition as on the reference that lists every pair: a
-    clause about an absent cell can never fail. The sparse checkers build exactly
-    the reference's clauses whose cells all exist, and count those. claim1 is
-    left out, since its clauses presuppose a non-empty C_{r,s}."""
+    clause about an absent cell can never fail. The sparse checkers decide
+    exactly the reference's clauses whose cells all exist, in order, and count
+    those. claim1 is left out, since its clauses presuppose a non-empty C_{r,s}."""
     rng = random.Random(0)
     graphs = [*atlas]
     graphs += [gnp(rng.randint(5, 14), rng.choice((0.3, 0.5, 0.7, 0.85)), rng) for _ in range(900)]
@@ -153,11 +173,11 @@ def test_checks_match_the_every_pair_partition(atlas, corpus):
         p = build_partition(g)
         dense = _dense_partition(g, p.A)
         for check in (check_fact1, check_lemma_gem, check_lemma_class):
-            report, full = check(g, p), check(g, dense)
+            report, sparse = _checked(clause_calls, check, g, p)
+            full, every = _checked(clause_calls, check, g, dense)
             assert _verdict(report) == _verdict(full), (check.__name__, g.edges())
-            assert list(report.entries) == [e for e in full.entries
-                                            if all(pair in p.C for pair in _cells(e))]
-            assert report.to_json_dict()["num_entries"] == len(report.entries)
+            assert sparse == [c for c in every if all(pair in p.C for pair in _cells(c[1]))]
+            assert report.to_json_dict()["num_entries"] == len(sparse)
             failing += report.applicable and not report.passed
     assert failing >= 500  # the failure path is compared, not only passing reports
 
@@ -252,7 +272,7 @@ def test_checks_pass_on_members(corpus):
         p = build_partition(g)
         for name, rep in run_all_checks(g, p).items():
             if rep.applicable:
-                assert rep.passed, (name, g.n, rep.failures())
+                assert rep.passed, (name, g.n, rep.failures)
 
 
 def test_lemma_class_refuses_small_omega():
@@ -276,8 +296,8 @@ def test_fact1_reports_violation_outside_class():
     p = build_partition(g)
     rep = check_fact1(g, p)
     assert rep.applicable
-    for entry in rep.failures():
-        assert entry.witness is not None
+    for failure in rep.failures:
+        assert failure["witness"] is not None
 
 
 G_ROW = [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]
@@ -318,11 +338,11 @@ G_LIVE = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)
         "lemma_class.iii-column", "lemma_class.iv-row", "claim1", "lemma_class.iv-Cprime",
         "lemma_class.iv-column"])
 def test_cell_witness_is_host_labelled(edges, clause, bindings, witness):
-    # one failing entry per clause kind, pinned to the vertices it reports
+    # one failed clause per clause kind, pinned to the vertices it reports
     g = build_graph(max(max(e) for e in edges) + 1, edges)
     report = run_all_checks(g, build_partition(g))[clause.split(".")[0]]
-    [entry] = [e for e in report.entries if e.clause == clause and e.bindings == bindings]
-    assert not entry.ok and entry.witness == witness
+    [failure] = [f for f in report.failures if f["clause"] == clause and f["bindings"] == bindings]
+    assert failure["witness"] == witness
 
 
 def test_lemma_gem_runs_on_gem_itself():
@@ -370,21 +390,23 @@ def test_partition_json_shape():
     assert d["D"]["1,2"] == [1, 2]
 
 
-def test_cell_pattern_clauses_match_a_pattern_search_on_atlas(atlas):
+def test_cell_pattern_clauses_match_a_pattern_search_on_atlas(atlas, clause_calls):
     """fact1.i and lemma_gem.i hold iff `find_induced` finds no P3 (P4) in the
     cell, whose lex-least copy is the witness: on members and non-members."""
     failures = 0
     for g in atlas[1:]:
         p = build_partition(g)
-        for report, clause, name, jmin in [(check_fact1(g, p), "fact1.i", "p3", 2),
-                                           (check_lemma_gem(g, p), "lemma_gem.i", "p4", 3)]:
+        for check, clause, name, jmin in [(check_fact1, "fact1.i", "p3", 2),
+                                          (check_lemma_gem, "lemma_gem.i", "p4", 3)]:
             want = []
             for (i, j), cell in p.C.items():
                 if j >= jmin:
                     w = find_induced(g, name, cell)
                     want.append((clause, {"i": i, "j": j}, w is None, w and w.embedding))
-            got = [(e.clause, e.bindings, e.ok, e.witness)
-                   for e in report.entries if e.clause == clause]
+            report, calls = _checked(clause_calls, check, g, p)
+            got = [(c, b, f is None, f and f["witness"]) for c, b, f in calls if c == clause]
             assert got == want, g.edges()
+            assert [f for f in report.failures if f["clause"] == clause] == [
+                f for c, _, f in calls if c == clause and f]
             failures += sum(1 for _, _, ok, _ in want if not ok)
     assert failures  # the witness path runs

@@ -71,6 +71,18 @@ def test_schlafli_complement_is_member():
     assert is_class_member(schlafli_complement())[0]
 
 
+@pytest.mark.parametrize("family", [("2k2",), ("c4", "gem"), ("p3up2", "p4")])
+def test_other_patterns_are_searched_in_family_order(family, atlas):
+    """A pattern other than the gem and P3 u P2 goes to `find_induced`: the
+    verdict and witness are those of a search for each pattern in family order."""
+    searched = 0
+    for g in atlas:
+        want = next(filter(None, (find_induced(g, name) for name in family)), None)
+        assert is_class_member(g, family) == (want is None, want), g.edges()
+        searched += want is not None and want.pattern_name not in ("gem", "p3up2")
+    assert searched  # the search names a witness
+
+
 def test_c5_has_no_p3up2():
     assert find_induced(cycle_graph(5), "p3up2") is None
 
