@@ -169,19 +169,20 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return _trusted_graph(g1.n + g2.n, tuple(adj))
 
 
-def _twin_classes(g: Graph, mask: int) -> dict[int, int]:
-    """The true-twin classes of <mask>: {least vertex: class mask}, ascending.
+def _twin_classes(g: Graph, mask: int, closed: bool = True) -> dict[int, int]:
+    """The twin classes of <mask>: {least vertex: class mask}, ascending.
 
     Two vertices of <mask> are true twins when their closed neighbourhoods
-    inside <mask> are equal. Classes of G can merge inside a mask: vertices
-    told apart only by vertices outside it share a class of <mask>.
+    inside <mask> are equal, and false twins (closed=False) when their open
+    ones are. Classes of G can merge inside a mask: vertices told apart only
+    by vertices outside it share a class of <mask>.
     """
-    first: dict[int, int] = {}  # closed neighbourhood inside <mask> -> least vertex
+    first: dict[int, int] = {}  # neighbourhood inside <mask> -> least vertex
     classes: dict[int, int] = {}
     adj = g.adj
     # walking a range is cheaper than walking the bits of a full mask
     for v in range(g.n) if mask == g.full_mask else bits(mask):
-        r = first.setdefault(adj[v] & mask | 1 << v, v)
+        r = first.setdefault(adj[v] & mask | closed << v, v)  # True << v is 1 << v
         classes[r] = classes.get(r, 0) | 1 << v
     return classes
 

@@ -1,8 +1,8 @@
 """Induced-pattern detection and forbidden-subgraph class membership.
 
 A pattern is a name from the catalogue `NAMED_PATTERNS`; detection is exact
-backtracking with bitmask candidate pruning, deterministic by ascending
-host-vertex order.
+backtracking with forward checking on bitmask candidate sets, deterministic
+by ascending host-vertex order.
 Class membership decides the gem and P3 u P2 from cotrees and components
 of the true-twin quotient instead, and backtracks only to name the witness
 of a non-member.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    Graph, GraphError, _twin_classes, _vertex_mask, bits, build_graph, cograph_coloring,
+    Graph, GraphError, _twin_classes, _vertex_mask, build_graph, cograph_coloring,
     complement, disjoint_union, join, mask_of,
 )
 
@@ -75,35 +75,69 @@ class PatternWitness:
     embedding: tuple[int, ...]
 
 
+# for each catalogue pattern and each pattern vertex i: whether i has an edge
+# to each later pattern vertex j > i, in order of j
+_LATER_EDGES = {
+    key: tuple(tuple(bool(p.adj[i] >> j & 1) for j in range(i + 1, p.n)) for i in range(p.n))
+    for key, p in NAMED_PATTERNS.items()
+}
+
+
 def find_induced(host: Graph, name: str, within: int | None = None) -> PatternWitness | None:
     """Lexicographically least induced embedding of the pattern inside `within`, or None.
 
     `within` is a vertex mask of the host (default: all vertices). The
-    embedding tuple maps pattern vertex i to its host image. The candidates
-    for pattern vertex i are one mask: the free vertices of `within`, ANDed
-    with adj(a_j) or its complement for every placed a_j, as the pattern has
-    or lacks the edge ij. Candidates are tried ascending, so the first hit is
-    the lex-least embedding tuple.
+    embedding tuple maps pattern vertex i to its host image. The search keeps
+    one candidate mask per pattern vertex not yet placed, all of `within` at
+    the start. Placing host vertex v as pattern vertex i narrows the mask of
+    each later j to adj(v), or to the vertices other than v outside it, as
+    the pattern has or lacks the edge ij (forward checking), and a placement
+    that empties a later mask is skipped: no embedding extends it. Candidates
+    are tried ascending, and pruning drops only branches without an
+    embedding, so the first hit is the lex-least embedding tuple; the last
+    pattern vertex takes its least candidate.
     """
     key = pattern(name)
-    p = NAMED_PATTERNS[key]
-    free = _vertex_mask(host, within)
-    assignment = [0] * p.n
+    later = _LATER_EDGES[key]
+    last = len(later) - 1
+    adj = host.adj
+    assignment = [0] * len(later)
 
-    def place(i: int, used: int) -> bool:
-        if i == p.n:
-            return True
-        cand = free & ~used
-        for j in range(i):
-            row = host.adj[assignment[j]]
-            cand &= row if p.adj[i] >> j & 1 else ~row
-        for v in bits(cand):
-            assignment[i] = v
-            if place(i + 1, used | (1 << v)):
-                return True
+    def place(i: int, cand: int, rest: list[int]) -> bool:
+        """Place pattern vertex i from `cand`; `rest` holds the masks of i+1.."""
+        if i == last - 1:  # each placement leaves one mask, whose least vertex ends the search
+            final = rest[0]
+            edge = later[i][0]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                row = adj[low.bit_length() - 1]
+                left = final & row if edge else final & ~(row | low)
+                if left:
+                    assignment[i] = low.bit_length() - 1
+                    assignment[last] = (left & -left).bit_length() - 1
+                    return True
+            return False
+        edges = later[i]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            non = ~(row | low)
+            narrowed = []
+            for mask, e in zip(rest, edges):
+                mask &= row if e else non
+                if not mask:
+                    break
+                narrowed.append(mask)
+            else:  # no later mask emptied
+                assignment[i] = low.bit_length() - 1
+                if place(i + 1, narrowed[0], narrowed[1:]):
+                    return True
         return False
 
-    if place(0, 0):
+    free = _vertex_mask(host, within)
+    if place(0, free, [free] * last):
         return PatternWitness(key, tuple(assignment))
     return None
 
@@ -113,15 +147,16 @@ def is_class_member(
 ) -> tuple[bool, PatternWitness | None]:
     """F-freeness for a family of forbidden patterns; first witness on failure.
 
-    Patterns are tried in family order. The gem and P3 u P2 each go to their
-    witness function, which decides the pattern on the true-twin quotient
-    (one representative, the least vertex, per class of vertices with equal
-    closed neighbourhoods) and runs `find_induced` only to name the
-    lex-least witness. Any other pattern is searched with `find_induced`.
+    Every name is resolved before the first search, so an unknown one is a
+    `PatternError` whatever the host. Patterns are tried in family order. The
+    gem and P3 u P2 each go to their witness function, which decides the
+    pattern on the true-twin quotient (one representative, the least vertex,
+    per class of vertices with equal closed neighbourhoods) and runs
+    `find_induced` only to name the lex-least witness. Any other pattern is
+    searched with `find_induced`.
     """
     classes = None
-    for name in forbidden:
-        key = pattern(name)
+    for key in tuple(map(pattern, forbidden)):
         witness = _STRUCTURAL.get(key)
         if witness is None:
             w = find_induced(host, key)
@@ -161,10 +196,19 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWi
     one in reps - N[u]. That last set contains what every edge at u leaves,
     and P3-freeness is hereditary, so only edges between twinless
     representatives are tried, each from its larger end. Each set goes
-    straight to the P3 walk `_components_if_cliques`. Trading a vertex
-    for a smaller twin keeps a P3 u P2 and lowers the tuple unless it is the
-    P2's twin, so the lex-least one lies among the representatives and the
-    second least vertex of each class."""
+    straight to the P3 walk `_components_if_cliques`.
+    The witness is searched inside a mask built from both kinds of twin:
+    the two least vertices of each true-twin class (equal closed
+    neighbourhoods), intersected with the two least of each false-twin class
+    (equal open neighbourhoods). Trading a witness vertex for a smaller twin
+    outside the witness keeps a P3 u P2 and lowers the tuple. No class meets
+    the witness in three vertices, as its only true twins are the P2's two
+    ends and its only false twins the P3's two ends, so a witness vertex
+    with two smaller twins could be traded, and the lex-least witness lies
+    inside the mask. The false-twin classes are built only when two open
+    rows are equal; otherwise each is a single vertex. On C5[I_100] plus a
+    pendant, which has no true twins, the mask has 12 vertices instead of
+    all 501."""
     adj = host.adj
     single = 0  # the twinless representatives below u
     for u, cls in classes.items():
@@ -184,11 +228,19 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWi
         single |= cls
     else:
         return None
-    seconds = 0
+    within = _two_least(classes)
+    if len(set(adj)) < host.n:  # two open rows are equal: false twins
+        within &= _two_least(_twin_classes(host, host.full_mask, closed=False))
+    return find_induced(host, "p3up2", within)
+
+
+def _two_least(classes: dict[int, int]) -> int:
+    """The mask of the two least vertices of each class (one, if it has one)."""
+    mask = 0
     for cls in classes.values():
         rest = cls & (cls - 1)
-        seconds |= rest & -rest
-    return find_induced(host, "p3up2", reps | seconds)
+        mask |= cls & -cls | rest & -rest
+    return mask
 
 
 # the witness function of each structural pattern

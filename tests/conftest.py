@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gemfree.exact import _k_colorable, max_clique
 from gemfree.generators import STRATEGIES, SamplingError, random_class_member
-from gemfree.graphs import Graph, bits, build_graph, complement
-from gemfree.patterns import is_class_member
+from gemfree.graphs import Graph, _vertex_mask, bits, build_graph, complement
+from gemfree.patterns import NAMED_PATTERNS, PatternWitness, is_class_member, pattern
 
 
 @st.composite
@@ -92,6 +92,34 @@ def reference_max_clique(g, within=None):
 
     expand(0, 0, g.full_mask if within is None else within)
     return best, witness
+
+
+def reference_find_induced(host, name, within=None):
+    """The plain backtracking `find_induced` ran before forward checking, kept
+    as its oracle: each pattern vertex's candidates are computed only when it
+    is reached, from the free vertices of `within` and the rows of the
+    vertices placed before it, and tried ascending."""
+    key = pattern(name)
+    p = NAMED_PATTERNS[key]
+    free = _vertex_mask(host, within)
+    assignment = [0] * p.n
+
+    def place(i: int, used: int) -> bool:
+        if i == p.n:
+            return True
+        cand = free & ~used
+        for j in range(i):
+            row = host.adj[assignment[j]]
+            cand &= row if p.adj[i] >> j & 1 else ~row
+        for v in bits(cand):
+            assignment[i] = v
+            if place(i + 1, used | (1 << v)):
+                return True
+        return False
+
+    if place(0, 0):
+        return PatternWitness(key, tuple(assignment))
+    return None
 
 
 def case21_graph():

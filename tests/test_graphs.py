@@ -168,22 +168,26 @@ def test_twin_classes_merge_inside_a_mask():
     assert _twin_classes(g, g.full_mask) == {2 * i: 0b11 << 2 * i for i in range(5)}
     assert _twin_classes(g, 0b1111) == {0: 0b1111}
     assert _twin_classes(g, 0b111111) == {0: 0b11, 2: 0b1100, 4: 0b110000}
+    # false twins: in P4, 1 and 3 share the open neighbourhood {2} once 0 leaves
+    assert _twin_classes(p4, p4.full_mask, closed=False) == {0: 0b0001, 1: 0b0010, 2: 0b0100, 3: 0b1000}
+    assert _twin_classes(p4, 0b1110, closed=False) == {1: 0b1010, 2: 0b0100}
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_graphs(min_n=0, max_n=9), st.data())
-def test_twin_classes_are_the_closed_neighbourhood_classes(g, data):
+@given(small_graphs(min_n=0, max_n=9), st.data(), st.booleans())
+def test_twin_classes_are_the_neighbourhood_classes(g, data, closed):
+    # true twins share closed neighbourhoods inside the mask, false twins open ones
     mask = data.draw(st.integers(0, g.full_mask))
-    classes = _twin_classes(g, mask)
+    classes = _twin_classes(g, mask, closed=closed)
     assert list(classes) == sorted(classes)
     assert sum(classes.values()) == mask  # disjoint, and covering the mask
     for r, cls in classes.items():
         assert cls & -cls == 1 << r
-    closed = {v: g.adj[v] & mask | 1 << v for v in bits(mask)}
+    row = {v: g.adj[v] & mask | (1 << v if closed else 0) for v in bits(mask)}
     class_of = {v: r for r, cls in classes.items() for v in bits(cls)}
     for u in bits(mask):
         for v in bits(mask):
-            assert (class_of[u] == class_of[v]) == (closed[u] == closed[v])
+            assert (class_of[u] == class_of[v]) == (row[u] == row[v])
 
 
 def test_coloring_rejects_nonpositive():

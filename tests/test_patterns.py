@@ -34,7 +34,7 @@ from gemfree.patterns import (
 )
 from gemfree.suite import _brute_force_contains, _labeled_codes, _pair_code
 
-from conftest import delete_vertex, small_graphs
+from conftest import delete_vertex, reference_find_induced, small_graphs
 
 
 def test_named_catalogue_sizes():
@@ -54,6 +54,13 @@ def test_pattern_lookup_case_insensitive():
     for unknown in (pattern, lambda name: find_induced(complete_graph(3), name)):
         with pytest.raises(PatternError, match="unknown pattern name 'k3'"):
             unknown("k3")
+
+
+@pytest.mark.parametrize("host", [NAMED_PATTERNS["p3up2"], cycle_graph(5)], ids=["p3up2", "c5"])
+def test_unknown_family_names_are_refused_before_any_search(host):
+    # the P3 u P2 holds the family's first pattern; C5 holds neither
+    with pytest.raises(PatternError, match="unknown pattern name 'nope'"):
+        is_class_member(host, ("p3up2", "nope"))
 
 
 def test_gem_contains_itself():
@@ -198,6 +205,29 @@ def test_membership_is_hereditary(g):
         return
     for drop in range(g.n):
         assert is_class_member(delete_vertex(g, drop))[0]
+
+
+def test_find_induced_matches_the_reference_search_on_atlas(atlas):
+    """Forward checking prunes only branches without an embedding, so it names
+    the plain backtracking's embedding, or none, for every catalogue pattern,
+    over the whole graph and inside two seeded random masks of each graph."""
+    rng = random.Random(31)
+    found = 0
+    for g in atlas:
+        for within in (None, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            for name in NAMED_PATTERNS:
+                want = reference_find_induced(g, name, within)
+                assert find_induced(g, name, within) == want, (g.edges(), name, within)
+                found += want is not None
+    assert found
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=11), st.data())
+def test_find_induced_matches_the_reference_search(g, data):
+    within = data.draw(st.one_of(st.none(), st.integers(0, g.full_mask)))
+    for name in NAMED_PATTERNS:
+        assert find_induced(g, name, within) == reference_find_induced(g, name, within)
 
 
 def test_mixed_k1_c4_and_hvn_detection():
@@ -438,3 +468,58 @@ def test_witness_search_runs_on_the_twin_quotient(monkeypatch):
     ok, w = is_class_member(g)
     assert not ok and _induces(g, NAMED_PATTERNS["p3up2"], w.embedding)
     assert len(masks) == 1 and masks[0].bit_count() <= 2 * 7
+
+
+@st.composite
+def both_twin_blowups(draw, max_bag=4):
+    """A graph on at most five vertices, each vertex blown up into a bag of
+    1..max_bag vertices that is a clique (true twins) or an independent set
+    (false twins), plus up to two extra edges, relabelled."""
+    base = draw(small_graphs(max_n=5))
+    sizes = draw(st.lists(st.integers(1, max_bag), min_size=base.n, max_size=base.n))
+    cliques = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    bags = [range(starts[i], starts[i + 1]) for i in range(base.n)]
+    n = starts[-1]
+    edges = {(u, v) for a, b in base.edges() for u in bags[a] for v in bags[b]}
+    edges |= {(u, v) for bag, clique in zip(bags, cliques) if clique
+              for u in bag for v in bag if u < v}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else [])
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(both_twin_blowups())
+def test_p3up2_witness_inside_both_twin_masks(g):
+    """The witness search runs inside the two least vertices of each true-
+    and each false-twin class, and names the lex-least P3 u P2 of the host."""
+    assert is_class_member(g, ("p3up2",))[1] == reference_find_induced(g, "p3up2")
+
+
+def _c5_independent_blowup_with_pendant(m):
+    """C5[I_m] (bag i = m*i .. m*i + m - 1, an independent set, joined to the
+    bags i - 1 and i + 1 mod 5) plus vertex 5m adjacent to vertex 5m - 1 only.
+    No two vertices are true twins; each bag is a false-twin class, but for
+    the pendant's neighbour, which leaves the last one."""
+    edges = [(m * i + a, m * ((i + 1) % 5) + b) for i in range(5) for a in range(m) for b in range(m)]
+    return build_graph(5 * m + 1, edges + [(5 * m - 1, 5 * m)])
+
+
+def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
+    """C5[I_100] plus a pendant at vertex 499 (n = 501): the true-twin mask is
+    every vertex, the false-twin mask 12, and the search runs inside those 12.
+    A search of all 501 vertices walks every partial P3 u P2 on bags 0 and 1
+    for minutes before it reaches the witness."""
+    g = _c5_independent_blowup_with_pendant(100)
+    masks = []
+
+    def bounded(host, pat, within=None):
+        assert within is not None and within.bit_count() <= 12
+        masks.append(within)
+        return find_induced(host, pat, within)
+
+    monkeypatch.setattr(gemfree.patterns, "find_induced", bounded)
+    assert is_class_member(g) == (False, PatternWitness("p3up2", (100, 200, 101, 499, 500)))
+    assert len(masks) == 1
