@@ -12,7 +12,8 @@ matching: colour classes have at most two vertices, and the two-vertex classes
 are the matched non-edges. `chromatic_number` and `chi_alpha2_shortcut` decide
 alpha <= 2 as "co-G is triangle-free" in O(n^2) mask operations and then run
 Edmonds' blossom algorithm on the complement masks in O(n^3); only inputs
-with alpha > 2 reach the DSATUR search.
+with alpha > 2 reach the DSATUR search, which keeps its vertex scores
+incrementally, so a search node picks its vertex with one `max` over a list.
 """
 
 from __future__ import annotations
@@ -128,53 +129,68 @@ def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
     its allowed colours ascending, up to one above the highest used so far,
     and backtracks as soon as some neighbour has all k colours forbidden.
     Returns a proper coloring (1-based list) or None.
+
+    The order is kept incrementally, one int per vertex: an uncoloured vertex
+    scores saturation * (n + 1) + its uncoloured-neighbour count, and a
+    coloured one that minus `done`, which exceeds every score (at most k
+    colours are forbidden and the degree term is below n + 1). So scores
+    order (saturation, degree) pairs as the tie-break does, and `list.index`
+    of the maximum is the lowest of the tied vertices. A step changes the
+    scores only where it changes the search state, and undoes them on
+    backtrack: colouring v lowers each uncoloured neighbour's degree term by
+    1, and each colour newly forbidden on u raises u's score by n + 1. The
+    marks of a colour stop at the first dead end; they are undone before the
+    next colour anyway, so every branch, and the colouring returned, is the
+    one the full marking pass would give.
     """
     n = g.n
     colors = [0] * n
     # forbidden[v] = bitmask of colors (bit c-1) already on neighbors of v
     forbidden = [0] * n
     every = (1 << k) - 1
-    uncolored = g.full_mask
+    nbrs = [list(bits(row)) for row in g.adj]
+    step = n + 1
+    done = (k + 1) * step
     for i, v in enumerate(clique):
         colors[v] = i + 1
-        uncolored &= ~(1 << v)
-        for u in bits(g.adj[v]):
+        for u in nbrs[v]:
             forbidden[u] |= 1 << i
-
-    def pick() -> int:
-        best_v = -1
-        best_key = (-1, -1)
-        for v in bits(uncolored):
-            key = (forbidden[v].bit_count(), (g.adj[v] & uncolored).bit_count())
-            if key > best_key:
-                best_key = key
-                best_v = v
-        return best_v
+    score = [forbidden[v].bit_count() * step + sum(not colors[u] for u in row) for v, row in enumerate(nbrs)]
+    for v in clique:
+        score[v] -= done
 
     def solve(max_used: int) -> bool:
-        nonlocal uncolored
-        if not uncolored:
+        top = max(score, default=-1)
+        if top < 0:
             return True
-        v = pick()
-        limit = min(k, max_used + 1)
-        avail = ~forbidden[v] & ((1 << limit) - 1)
-        uncolored &= ~(1 << v)
-        for c in bits(avail):
-            colors[v] = c + 1
+        v = score.index(top)
+        score[v] -= done
+        free = [u for u in nbrs[v] if not colors[u]]
+        for u in free:
+            score[u] -= 1
+        avail = ~forbidden[v] & ((1 << min(k, max_used + 1)) - 1)
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            colors[v] = c = bit.bit_length()
             touched = []
-            ok = True
-            for u in bits(g.adj[v] & uncolored):
-                if not forbidden[u] >> c & 1:
-                    forbidden[u] |= 1 << c
+            for u in free:
+                if not forbidden[u] & bit:
+                    forbidden[u] |= bit
+                    score[u] += step
                     touched.append(u)
                     if forbidden[u] == every:
-                        ok = False
-            if ok and solve(max(max_used, c + 1)):
-                return True
+                        break  # a dead end: undo, and try the next colour
+            else:
+                if solve(max(max_used, c)):
+                    return True
             for u in touched:
-                forbidden[u] &= ~(1 << c)
+                forbidden[u] ^= bit
+                score[u] -= step
         colors[v] = 0
-        uncolored |= 1 << v
+        for u in free:
+            score[u] += 1
+        score[v] += done
         return False
 
     if solve(len(clique)):

@@ -58,6 +58,73 @@ def dsatur_chi(g):
     return k
 
 
+def reference_k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
+    """DSATUR-ordered backtracking k-colorability decision, as `exact._k_colorable`
+    ran before it kept its vertex scores incrementally: `pick` rescores every
+    uncoloured vertex at each step. Kept as the oracle for the package kernel's
+    search tree and returned colouring.
+
+    `clique` vertices are precolored 1..|clique| to break color symmetry;
+    callers start k at |clique|.
+    Each step colours the uncoloured vertex with the most forbidden colours,
+    ties broken by most uncoloured neighbours, then by lowest index. It tries
+    its allowed colours ascending, up to one above the highest used so far,
+    and backtracks as soon as some neighbour has all k colours forbidden.
+    Returns a proper coloring (1-based list) or None.
+    """
+    n = g.n
+    colors = [0] * n
+    # forbidden[v] = bitmask of colors (bit c-1) already on neighbors of v
+    forbidden = [0] * n
+    every = (1 << k) - 1
+    uncolored = g.full_mask
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+        uncolored &= ~(1 << v)
+        for u in bits(g.adj[v]):
+            forbidden[u] |= 1 << i
+
+    def pick() -> int:
+        best_v = -1
+        best_key = (-1, -1)
+        for v in bits(uncolored):
+            key = (forbidden[v].bit_count(), (g.adj[v] & uncolored).bit_count())
+            if key > best_key:
+                best_key = key
+                best_v = v
+        return best_v
+
+    def solve(max_used: int) -> bool:
+        nonlocal uncolored
+        if not uncolored:
+            return True
+        v = pick()
+        limit = min(k, max_used + 1)
+        avail = ~forbidden[v] & ((1 << limit) - 1)
+        uncolored &= ~(1 << v)
+        for c in bits(avail):
+            colors[v] = c + 1
+            touched = []
+            ok = True
+            for u in bits(g.adj[v] & uncolored):
+                if not forbidden[u] >> c & 1:
+                    forbidden[u] |= 1 << c
+                    touched.append(u)
+                    if forbidden[u] == every:
+                        ok = False
+            if ok and solve(max(max_used, c + 1)):
+                return True
+            for u in touched:
+                forbidden[u] &= ~(1 << c)
+        colors[v] = 0
+        uncolored |= 1 << v
+        return False
+
+    if solve(len(clique)):
+        return colors
+    return None
+
+
 def reference_max_clique(g, within=None):
     """(omega, witness) by the plain branch and bound over the vertices of
     `within`, kept as the oracle for `max_clique`'s search on the twin

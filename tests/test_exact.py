@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import types
 
 import networkx as nx
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gemfree.exact import (
     SizeGuardError,
     _alpha2_matching,
+    _k_colorable,
     _max_matching,
     chi_alpha2_shortcut,
     chromatic_number,
@@ -19,17 +22,19 @@ from gemfree.generators import (
     ExpansionSpec,
     complete_expansion,
     groetzsch_graph,
+    mycielskian,
     random_class_member,
     schlafli_complement,
 )
 from gemfree.graphs import bits, build_graph, complement, first_occurrence_colors, mask_of
-from gemfree.patterns import complete_graph, cycle_graph
+from gemfree.patterns import complete_graph, cycle_graph, is_class_member
 from gemfree.suite import _exhaustive_chi
 
 from conftest import (
     alpha2_graphs,
     delete_vertex,
     dsatur_chi,
+    reference_k_colorable,
     reference_max_clique,
     relabel,
     small_graphs,
@@ -123,10 +128,82 @@ def test_chromatic_witnesses():
     assert chromatic_number(complete_graph(5)).chi == 5
     g2 = complete_expansion(ExpansionSpec(cycle_graph(5), (2,) * 5))
     assert chromatic_number(g2).chi == 5
+    # mu(Groetzsch): chi = 5 > 2 * omega = 4, so the theorem forbids membership
+    mu = mycielskian(groetzsch_graph())
+    assert max_clique(mu).omega == 2 and chromatic_number(mu).chi == 5
+    assert is_class_member(mu)[0] is False
 
 
 def test_chromatic_schlafli_is_6():
     assert chromatic_number(schlafli_complement()).chi == 6
+
+
+def _assert_k_colorable_matches_reference(g):
+    """The package DSATUR search and the reference return the same colouring,
+    or both None, at every k from omega to chi, seeded with the max_clique
+    witness. Returns chi."""
+    clique = sorted(bits(max_clique(g).witness))
+    k = len(clique)
+    while True:
+        colors = _k_colorable(g, k, clique)
+        assert colors == reference_k_colorable(g, k, clique)
+        if colors is not None:
+            return k
+        k += 1
+
+
+def test_k_colorable_matches_reference_on_atlas(atlas):
+    for g in atlas:
+        _assert_k_colorable_matches_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=12))
+def test_k_colorable_matches_reference(g):
+    _assert_k_colorable_matches_reference(g)
+
+
+@pytest.mark.parametrize("build,chi", [
+    (groetzsch_graph, 4),
+    (lambda: mycielskian(groetzsch_graph()), 5),
+    (schlafli_complement, 6),
+])
+def test_k_colorable_matches_reference_on_named_graphs(build, chi):
+    assert _assert_k_colorable_matches_reference(build()) == chi
+
+
+def _search_calls(kernel, g, k):
+    """(calls of `kernel`'s recursive `solve`, selected by its code object,
+    and the kernel's result) for the k-colouring search seeded with the
+    max_clique witness: a count of search nodes that needs no clock."""
+    solve = next(c for c in kernel.__code__.co_consts
+                 if isinstance(c, types.CodeType) and c.co_name == "solve")
+    clique = sorted(bits(max_clique(g).witness))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is solve:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        colors = kernel(g, k, clique)
+    finally:
+        sys.setprofile(previous)
+    return calls, colors
+
+
+@pytest.mark.parametrize("build,k,nodes", [
+    (schlafli_complement, 5, 6604),
+    (lambda: mycielskian(groetzsch_graph()), 4, 574),
+])
+def test_k_colorable_search_tree_matches_reference(build, k, nodes):
+    # the two longest DSATUR proofs of the exact workload, each that k < chi:
+    # a changed pick order or tie-break changes the node count at once
+    g = build()
+    assert _search_calls(_k_colorable, g, k) == _search_calls(reference_k_colorable, g, k) == (nodes, None)
 
 
 def test_chromatic_guardrail():
