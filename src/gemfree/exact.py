@@ -14,6 +14,7 @@ alpha <= 2 as "co-G is triangle-free" in O(n^2) mask operations and then run
 Edmonds' blossom algorithm on the complement masks in O(n^3); only inputs
 with alpha > 2 reach the DSATUR search, which keeps its vertex scores
 incrementally, so a search node picks its vertex with one `max` over a list.
+Results hold only their witness: omega counts the clique, chi the colours used.
 """
 
 from __future__ import annotations
@@ -32,14 +33,20 @@ class SizeGuardError(ValueError):
 
 @dataclass(frozen=True)
 class CliqueResult:
-    omega: int
     witness: int  # vertex bitmask, lexicographically least maximum clique
+
+    @property
+    def omega(self) -> int:
+        return self.witness.bit_count()
 
 
 @dataclass(frozen=True)
 class ChiResult:
-    chi: int
-    witness: Coloring
+    witness: Coloring  # an optimal colouring
+
+    @property
+    def chi(self) -> int:
+        return self.witness.num_colors
 
 
 def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
@@ -77,7 +84,7 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
     for r, cls in classes.items():
         reps |= 1 << r
         weight[r] = cls.bit_count()
-    best = 0
+    best = 0  # the weight of `witness`, which is its bit count
     witness = 0
 
     def bound(cand: int) -> int:
@@ -116,7 +123,7 @@ def max_clique(g: Graph, within: int | None = None) -> CliqueResult:
                     witness = clique | cls
 
     expand(0, 0, within)
-    return CliqueResult(best, witness)
+    return CliqueResult(witness)
 
 
 def _k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | None:
@@ -319,14 +326,13 @@ def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
     if mate is not None:
         # a matched pair takes the label of its lower end, a free vertex its own
         labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
-        witness = Coloring(first_occurrence_colors(labels))
-        return ChiResult(witness.num_colors, witness)
+        return ChiResult(Coloring(first_occurrence_colors(labels)))
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:
         colors = _k_colorable(g, k, clique)
         if colors is not None:
-            return ChiResult(k, Coloring(first_occurrence_colors(colors)))
+            return ChiResult(Coloring(first_occurrence_colors(colors)))
         k += 1
 
 

@@ -86,10 +86,13 @@ def build_partition(g: Graph) -> WBCPartition:
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    applicable: bool
     failures: tuple[dict[str, Any], ...] = ()  # each failed clause's JSON object, in clause order
     num_entries: int = 0  # the clauses checked
-    reason: str = ""
+    reason: str = ""  # why the check does not apply; empty when it does
+
+    @property
+    def applicable(self) -> bool:
+        return not self.reason
 
     @property
     def passed(self) -> bool:
@@ -118,7 +121,7 @@ def _failure(clause: str, bindings: dict[str, Any],
 
 
 def _report(name: str, results: list[dict[str, Any] | None]) -> CheckReport:
-    return CheckReport(name, True, tuple(r for r in results if r), len(results))
+    return CheckReport(name, tuple(r for r in results if r), len(results))
 
 
 def _first_pair(g: Graph, s: int, t: int, flip: int) -> tuple[int, ...]:
@@ -190,7 +193,7 @@ def check_lemma_class(g: Graph, p: WBCPartition) -> CheckReport:
     whole column.
     """
     if p.omega < 3:
-        return CheckReport("lemma_class", False, reason="requires omega >= 3")
+        return CheckReport("lemma_class", reason="requires omega >= 3")
     out = []
     omega = p.omega
     for (i, j), cell in p.C.items():
@@ -240,7 +243,7 @@ def check_claim1(g: Graph, p: WBCPartition) -> CheckReport:
     """For j,l,r >= 3 with C_{r,s} nonempty: C'_{1,j} u C'_{2,l} is complete
     to {v_r, v_s} u C_{r,s}."""
     if p.omega < 3:
-        return CheckReport("claim1", False, reason="requires omega >= 3")
+        return CheckReport("claim1", reason="requires omega >= 3")
     left = 0
     for (i, j), cp in p.Cprime.items():
         if i <= 2 and j >= 3:

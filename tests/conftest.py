@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -238,6 +239,21 @@ def relabel(g, perm):
 def delete_vertex(g, v):
     """G - v, the vertices above v moving down by one."""
     return build_graph(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
+
+
+def count_calls(monkeypatch, func):
+    """Calls of `func`, as their positional arguments, through every loaded
+    gemfree module that binds its name: a recursive call counts too."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gemfree" and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
 
 
 TOKENS = ["p", "e", "edge", "c", "x", "-1", *map(str, range(10)), "600",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gemfree
-from gemfree import cli, coloring, exact, partition, suite
+from gemfree import cli, coloring, exact, suite
 from gemfree.cli import build_parser, main
 from gemfree.coloring import color_three_omega, color_two_omega
 from gemfree.exact import chromatic_number, max_clique
@@ -31,7 +31,7 @@ from gemfree.partition import build_partition
 from gemfree.patterns import NAMED_PATTERNS, cycle_graph, is_class_member
 from gemfree.suite import CriterionResult
 
-from conftest import small_graphs, token_texts
+from conftest import count_calls, small_graphs, token_texts
 
 
 @pytest.fixture
@@ -125,22 +125,8 @@ def test_color_the_empty_graph(algorithm, tmp_path, capsys):
         assert (rep["trace"]["A"], rep["trace"]["case"]) == ([], "omega<=2")
 
 
-def _count_calls(monkeypatch, func):
-    """Calls of `func` through every gemfree module that binds its name."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return func(*args, **kwargs)
-
-    for module in (cli, coloring, exact, partition, suite):
-        if getattr(module, func.__name__, None) is func:
-            monkeypatch.setattr(module, func.__name__, counted)
-    return calls
-
-
 def test_color_finds_omega_once(files, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, max_clique)
+    calls = count_calls(monkeypatch, max_clique)
     code, out = run(capsys, "color", files["groetzsch"])
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
@@ -148,7 +134,7 @@ def test_color_finds_omega_once(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["two-omega", "three-omega"])
 def test_color_algorithm_finds_omega_once(files, capsys, monkeypatch, algorithm):
-    calls = _count_calls(monkeypatch, max_clique)
+    calls = count_calls(monkeypatch, max_clique)
     code, out = run(capsys, "color", files["groetzsch"], "--algorithm", algorithm)
     assert code == 0 and json.loads(out)["omega"] == 2
     assert len(calls) == 1
@@ -158,8 +144,8 @@ def test_color_algorithm_finds_omega_once(files, capsys, monkeypatch, algorithm)
                          ids=lambda f: f.__name__)
 def test_each_colorer_call_builds_one_partition(colorer, corpus, monkeypatch):
     """The traced layers: one `build_partition` and one `max_clique` per call."""
-    builds = _count_calls(monkeypatch, build_partition)
-    cliques = _count_calls(monkeypatch, max_clique)
+    builds = count_calls(monkeypatch, build_partition)
+    cliques = count_calls(monkeypatch, max_clique)
     for g in [groetzsch_graph(), schlafli_complement(), *corpus]:
         builds.clear()
         cliques.clear()
@@ -169,7 +155,7 @@ def test_each_colorer_call_builds_one_partition(colorer, corpus, monkeypatch):
 
 @pytest.mark.parametrize("name", ["groetzsch", "c5"])
 def test_each_partition_run_builds_one_partition(name, files, capsys, monkeypatch):
-    builds = _count_calls(monkeypatch, build_partition)
+    builds = count_calls(monkeypatch, build_partition)
     code, _ = run(capsys, "partition", files[name])
     assert code == 0 and len(builds) == 1
 
@@ -357,7 +343,7 @@ def test_suite_skip_note_names_the_budget_given(capsys):
                          ids=["groetzsch", "schlafli"])
 def test_witness_criteria_test_membership_once(monkeypatch, criterion):
     # the 2*omega colourer tests membership; the criterion does not ask again
-    calls = _count_calls(monkeypatch, is_class_member)
+    calls = count_calls(monkeypatch, is_class_member)
     assert criterion().passed
     assert len(calls) == 1
 
@@ -373,7 +359,7 @@ def test_witness_facts_of_a_non_member(monkeypatch):
 
 
 def test_proposition_criterion_finds_omega_once_per_graph(monkeypatch):
-    calls = _count_calls(monkeypatch, max_clique)
+    calls = count_calls(monkeypatch, max_clique)
     res = suite.criterion_5_proposition_bound(0, 200)
     assert res.passed and res.details["corpus_size"] >= 200
     assert len(calls) == res.details["corpus_size"]

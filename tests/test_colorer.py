@@ -430,7 +430,7 @@ def test_a_clique_that_is_not_one_is_certification_failure(algorithm, colorer,
                                                           monkeypatch, tmp_path, capsys):
     # the colour bound counts A as omega: an edgeless graph handed A = {0, 1}
     # would pass 3 colours as <= 2*2, although omega is 1
-    monkeypatch.setattr(partition, "max_clique", lambda g: CliqueResult(2, 0b011))
+    monkeypatch.setattr(partition, "max_clique", lambda g: CliqueResult(0b011))
     g = build_graph(3, [])
     with pytest.raises(CertificationError, match="A is not a clique") as failure:
         colorer(g)

@@ -14,7 +14,7 @@ from gemfree.generators import (
 )
 from gemfree.exact import max_clique
 from gemfree.graphs import (
-    GraphError, _twin_classes, bits, build_graph, cograph_coloring, join,
+    GraphError, _twin_classes, bits, build_graph, cograph_coloring, complement, join,
 )
 from gemfree.patterns import (
     DEFAULT_CLASS,
@@ -34,7 +34,7 @@ from gemfree.patterns import (
 )
 from gemfree.suite import _brute_force_contains, _labeled_codes, _pair_code
 
-from conftest import delete_vertex, reference_find_induced, small_graphs
+from conftest import count_calls, delete_vertex, reference_find_induced, small_graphs
 
 
 def test_named_catalogue_sizes():
@@ -442,14 +442,9 @@ def test_membership_runs_on_the_twin_quotient(monkeypatch):
         (schlafli_complement(), 27 + 135),
     ]
     for g, walks in cases:
-        calls = {"find_induced": 0, "_components_if_cliques": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(gemfree.patterns, name)):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(gemfree.patterns, name, counted)
+        calls = [count_calls(monkeypatch, f) for f in (find_induced, _components_if_cliques)]
         assert is_class_member(g) == (True, None)
-        assert calls == {"find_induced": 0, "_components_if_cliques": walks}
+        assert [len(c) for c in calls] == [0, walks]
         monkeypatch.undo()
 
 
@@ -498,13 +493,18 @@ def test_p3up2_witness_inside_both_twin_masks(g):
     assert is_class_member(g, ("p3up2",))[1] == reference_find_induced(g, "p3up2")
 
 
-def _c5_independent_blowup_with_pendant(m):
-    """C5[I_m] (bag i = m*i .. m*i + m - 1, an independent set, joined to the
-    bags i - 1 and i + 1 mod 5) plus vertex 5m adjacent to vertex 5m - 1 only.
-    No two vertices are true twins; each bag is a false-twin class, but for
-    the pendant's neighbour, which leaves the last one."""
+def _c5_independent_blowup(m):
+    """C5[I_m]: bag i = m*i .. m*i + m - 1, an independent set, joined to the
+    bags i - 1 and i + 1 mod 5. No two vertices are true twins; each bag is
+    a false-twin class."""
     edges = [(m * i + a, m * ((i + 1) % 5) + b) for i in range(5) for a in range(m) for b in range(m)]
-    return build_graph(5 * m + 1, edges + [(5 * m - 1, 5 * m)])
+    return build_graph(5 * m, edges)
+
+
+def _with_pendant(g, v):
+    """G plus vertex n adjacent to v only. A pendant at 5m - 1 of C5[I_m]
+    takes that vertex out of the last false-twin class."""
+    return build_graph(g.n + 1, [*g.edges(), (v, g.n)])
 
 
 def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
@@ -512,7 +512,7 @@ def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
     every vertex, the false-twin mask 12, and the search runs inside those 12.
     A search of all 501 vertices walks every partial P3 u P2 on bags 0 and 1
     for minutes before it reaches the witness."""
-    g = _c5_independent_blowup_with_pendant(100)
+    g = _with_pendant(_c5_independent_blowup(100), 499)
     masks = []
 
     def bounded(host, pat, within=None):
@@ -523,3 +523,39 @@ def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
     monkeypatch.setattr(gemfree.patterns, "find_induced", bounded)
     assert is_class_member(g) == (False, PatternWitness("p3up2", (100, 200, 101, 499, 500)))
     assert len(masks) == 1
+
+
+def _cocktail_party(m):
+    """K_(m x 2): the complement of the perfect matching {2i, 2i + 1}. Twin-free."""
+    return complement(build_graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]))
+
+
+def _alternating_threshold(n):
+    """Odd v adjacent to every u < v: a cograph whose cotree is about n levels deep."""
+    return build_graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
+@pytest.mark.parametrize("make,verdict,bounds", [
+    (lambda: _cocktail_party(50), (True, None), (5_000, 14_800, 0)),
+    (lambda: _prism(50), (True, None), (2_600, 0, 0)),
+    (lambda: _c5_independent_blowup(20), (True, None), (2_100, 0, 0)),
+    (lambda: _alternating_threshold(100), (True, None), (2_501, 6_075, 0)),
+    (lambda: _with_pendant(_prism(50), 98),
+     (False, PatternWitness("p3up2", (50, 98, 100, 1, 2))), (1, 0, 1)),
+    (lambda: _with_pendant(_c5_independent_blowup(20), 99),
+     (False, PatternWitness("p3up2", (20, 40, 21, 99, 100))), (2_001, 0, 1)),
+    (lambda: _with_pendant(_alternating_threshold(99), 98),
+     (False, PatternWitness("p3up2", (0, 3, 2, 98, 99))), (2_306, 0, 1)),
+], ids=["cocktail-party", "prism", "c5-blowup", "threshold",
+        "prism-pendant", "c5-blowup-pendant", "threshold-pendant"])
+def test_membership_work_at_the_ladder_shapes(make, verdict, bounds, monkeypatch):
+    """The members and pendant non-members on which membership is slowest at
+    n ~ 500 (ROADMAP.md), at a fifth of the size: verdict, witness, and upper bounds on
+    P3 walks, cotree nodes (recursion included) and pattern searches. Counts
+    do not depend on the machine, so a change that makes membership do more
+    work on these shapes fails here without a clock."""
+    g = make()
+    calls = [count_calls(monkeypatch, f) for f in (_components_if_cliques, cograph_coloring, find_induced)]
+    assert is_class_member(g) == verdict
+    counts = [len(c) for c in calls]
+    assert all(c <= bound for c, bound in zip(counts, bounds)), counts
