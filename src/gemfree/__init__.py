@@ -14,7 +14,6 @@ from .exact import (
     ChiResult,
     CliqueResult,
     SizeGuardError,
-    chi_alpha2_shortcut,
     chromatic_number,
     max_clique,
 )

@@ -229,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("two-omega", "three-omega", "greedy", "exact"),
                    default="two-omega")
     p.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
-                   help=f"exact only (default {EXACT_MAX_N})")
+                   help=f"exact only: refuse alpha > 2 inputs above this n (default {EXACT_MAX_N})")
 
     p = sub.add_parser("chi", help="exact chromatic number")
     add_input(p)
-    p.add_argument("--max-n", type=int, default=EXACT_MAX_N)
+    p.add_argument("--max-n", type=int, default=EXACT_MAX_N,
+                   help="refuse alpha > 2 inputs above this n; alpha <= 2 ones are never refused")
 
     p = sub.add_parser("partition", help="clique-relative partition + lemma reports")
     add_input(p)

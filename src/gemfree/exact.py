@@ -1,19 +1,19 @@
 """Exact combinatorial oracles: maximum clique and chromatic number.
 
-All solvers are exact and deterministic in their returned values; they are
-sized for the desk-scale instances this package cares about (n <= 64 for the
-chromatic search, n <= a few hundred for cliques). Cliques are found on the
-true-twin quotient, each class weighted by its size, so a twin-rich input
-such as K[C5](102) (n = 510, five classes) is searched as a handful of
-vertices; a twin-free input has every weight 1 and keeps the plain search.
+All solvers are exact and deterministic in their returned values. Cliques are
+found on the true-twin quotient, each class weighted by its size, so a
+twin-rich input such as K[C5](102) (n = 510, five classes) is searched as a
+handful of vertices; a twin-free input has every weight 1 and keeps the plain
+search.
 
 When alpha(G) <= 2, chi(G) = n - nu(co-G), where nu is the size of a maximum
 matching: colour classes have at most two vertices, and the two-vertex classes
-are the matched non-edges. `chromatic_number` and `chi_alpha2_shortcut` decide
-alpha <= 2 as "co-G is triangle-free" in O(n^2) mask operations and then run
-Edmonds' blossom algorithm on the complement masks in O(n^3); only inputs
-with alpha > 2 reach the DSATUR search, which keeps its vertex scores
-incrementally, so a search node picks its vertex with one `max` over a list.
+are the matched non-edges. `chromatic_number` decides alpha <= 2 as "co-G is
+triangle-free" in O(n^2) mask operations and then runs Edmonds' blossom
+algorithm on the complement masks in O(n^3), at any n. Only alpha > 2 inputs
+meet its size guard (n <= 64 by default) and reach the DSATUR search, which
+keeps its vertex scores incrementally, so a node picks its vertex with one
+`max` over a list.
 Results hold only their witness: omega counts the clique, chi the colours used.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .graphs import Coloring, Graph, _twin_classes, _vertex_mask, bits, first_occurrence_colors
 
 
-EXACT_MAX_N = 64  # default guardrail of `chromatic_number`: larger inputs are refused
+EXACT_MAX_N = 64  # default guardrail of `chromatic_number`: larger alpha > 2 inputs are refused
 
 
 class SizeGuardError(ValueError):
@@ -313,20 +313,20 @@ def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
 def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
     """Exact chromatic number with an optimal coloring witness.
 
-    Refuses instances larger than `max_n`, whatever their structure. When
-    alpha(G) <= 2 (an O(n^2) test), a maximum matching of the complement
-    (O(n^3)) gives the witness: matched pairs share a colour, and chi is the
-    number of colours. Otherwise: iterative deepening on k from the clique
-    lower bound, DSATUR backtracking with max-clique symmetry breaking. Either
-    witness is numbered 1..chi in order of first occurrence.
+    When alpha(G) <= 2 (an O(n^2) test), a maximum matching of the complement
+    (O(n^3)) gives the witness, at any n: matched pairs share a colour, and
+    chi is the number of colours. Otherwise an instance larger than `max_n`
+    is refused, and a smaller one is solved by iterative deepening on k from
+    the clique lower bound, DSATUR backtracking with max-clique symmetry
+    breaking. Either witness is numbered 1..chi in order of first occurrence.
     """
-    if g.n > max_n:
-        raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
     mate = _alpha2_matching(g)
     if mate is not None:
         # a matched pair takes the label of its lower end, a free vertex its own
         labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
         return ChiResult(Coloring(first_occurrence_colors(labels)))
+    if g.n > max_n:
+        raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
     clique = sorted(bits(max_clique(g).witness))
     k = len(clique)
     while True:
@@ -341,8 +341,8 @@ def chi_alpha2_shortcut(g: Graph) -> int:
 
     Color classes have size <= 2, so an optimal coloring is n minus a maximum
     matching of the complement (matched pairs share a color). The same O(n^2)
-    test and O(n^3) blossom matching as `chromatic_number`, without its size
-    guard.
+    test and O(n^3) blossom matching as `chromatic_number`, whose alpha <= 2
+    route gives the same chi. Kept for gembench's `exact` op, not re-exported.
     """
     mate = _alpha2_matching(g)
     if mate is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .coloring import ClassViolationError, _three_omega, color_two_omega, verify_proper
-from .exact import chi_alpha2_shortcut, chromatic_number, max_clique
+from .exact import chromatic_number, max_clique
 from .generators import (
     ExpansionSpec,
     check_srg,
@@ -96,7 +96,7 @@ def criterion_3_expansions() -> CriterionResult:
         g = complete_expansion(ExpansionSpec(cycle_graph(5), (m,) * 5))
         omega = max_clique(g).omega
         expected_chi = math.ceil(5 * 2 * m / 4)
-        chi_short = chi_alpha2_shortcut(g)
+        chi_short = chromatic_number(g).chi  # alpha = 2: the matching route
         chi_exact = _exhaustive_chi(g) if m <= 2 else None
         row_ok = omega == 2 * m and chi_short == expected_chi
         if chi_exact is not None:

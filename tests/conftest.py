@@ -198,6 +198,24 @@ def case21_graph():
     return build_graph(8, edges, "case21")
 
 
+def prism(m):
+    """K_m □ K_2: two K_m, vertex i of one matched to vertex m + i of the
+    other. Twin-free, and every neighbourhood is K_(m-1) plus one vertex."""
+    clique = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges = clique + [(u + m, v + m) for u, v in clique] + [(i, m + i) for i in range(m)]
+    return build_graph(2 * m, edges, f"prism{m}")
+
+
+def cocktail_party(m):
+    """K_(m x 2): the complement of the perfect matching {2i, 2i + 1}. Twin-free."""
+    return complement(build_graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]))
+
+
+def alternating_threshold(n):
+    """Odd v adjacent to every u < v: a cograph whose cotree is about n levels deep."""
+    return build_graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
 def template_members(clique, sides, draws, seed):
     """The class members among `draws` seeded graphs: K_clique on 0..clique-1
     plus 4-6 extra vertices, each adjacent to exactly one vertex of `sides`

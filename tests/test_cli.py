@@ -172,7 +172,7 @@ def test_color_rejects_non_member(files, capsys):
     assert code == 1 and rep["error"] == "class-violation"
 
 
-def test_alpha2_input_skips_dsatur(tmp_path, capsys, monkeypatch):
+def test_alpha2_input_skips_dsatur(files, tmp_path, capsys, monkeypatch):
     # an induced subgraph of K[C5](5): n = 23, omega = 10, alpha = 2, chi = ceil(23 / 2)
     g = complete_expansion(ExpansionSpec(cycle_graph(5), (5, 5, 5, 4, 4)))
     path = tmp_path / "c5x.col"
@@ -183,18 +183,28 @@ def test_alpha2_input_skips_dsatur(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(exact, "_k_colorable", refuse)
     assert max_clique(g).omega == 10 and chromatic_number(g).chi == 12
-    code, out = run(capsys, "chi", str(path))
-    assert code == 0 and json.loads(out)["chi"] == 12
-    code, out = run(capsys, "color", str(path), "--algorithm", "exact")
-    rep = json.loads(out)
-    assert code == 0 and rep["num_colors"] == 12 and rep["verified"] is True
-    code, out = run(capsys, "chi", str(path), "--max-n", "10")
+    # above --max-n too, the input takes the matching route and never reaches DSATUR
+    for guard in ((), ("--max-n", "10")):
+        code, out = run(capsys, "chi", str(path), *guard)
+        assert code == 0 and json.loads(out)["chi"] == 12
+        code, out = run(capsys, "color", str(path), "--algorithm", "exact", *guard)
+        rep = json.loads(out)
+        assert code == 0 and rep["num_colors"] == 12 and rep["verified"] is True
+    # the guard still refuses an alpha > 2 input above it, before any search
+    code, out = run(capsys, "chi", files["groetzsch"], "--max-n", "10")
     assert code == 2
 
 
 def test_chi_guardrail_flag(files, capsys):
-    code, out = run(capsys, "chi", files["c5"], "--max-n", "3")
-    assert code == 2
+    # Groetzsch has alpha = 5 > 2 and n = 11: refused above --max-n 10, solved without it
+    assert main(["chi", files["groetzsch"], "--max-n", "10"]) == 2
+    assert capsys.readouterr().err == "error: n=11 exceeds exact-chi guardrail 10\n"
+    code, out = run(capsys, "chi", files["groetzsch"])
+    assert code == 0 and json.loads(out)["chi"] == 4
+    # C5 has alpha = 2: above --max-n 3 it keeps the chi it has without the flag
+    for guard in ((), ("--max-n", "3")):
+        code, out = run(capsys, "chi", files["c5"], *guard)
+        assert code == 0 and json.loads(out)["chi"] == 3
 
 
 def test_partition_command(files, capsys):
@@ -495,12 +505,14 @@ def exit_table(files, tmp_path):
         (["color", groetzsch], None, 0),
         (["color", gem], None, 1),
         (["color", bad], None, 2),
-        (["color", c5, "--algorithm", "exact", "--max-n", "3"], None, 2),
+        (["color", groetzsch, "--algorithm", "exact", "--max-n", "10"], None, 2),
+        (["color", c5, "--algorithm", "exact", "--max-n", "3"], None, 0),
         (["color", c5, "--algorithm", "exact"], None, 0),
         (["color", c5, "--algorithm", "two-omega", "--max-n", "3"], None, 2),
         (["color", str(schlafli)], (coloring, "_color_c12", lambda *args: None), 3),
         (["chi", c5], None, 0),
-        (["chi", c5, "--max-n", "3"], None, 2),
+        (["chi", groetzsch, "--max-n", "10"], None, 2),
+        (["chi", c5, "--max-n", "3"], None, 0),
         (["chi", missing], None, 2),
         (["partition", groetzsch], None, 0),
         (["partition", gem], None, 1),

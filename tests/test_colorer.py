@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -28,7 +29,7 @@ from gemfree.generators import (
 )
 from gemfree.graph_io import serialize
 from gemfree.graphs import Coloring, GraphError, bits, build_graph, cograph_coloring, join
-from gemfree.partition import build_partition, run_all_checks
+from gemfree.partition import WBCPartition, build_partition, run_all_checks
 from gemfree.patterns import (
     NAMED_PATTERNS,
     complete_graph,
@@ -445,3 +446,85 @@ def test_a_clique_that_is_not_one_is_certification_failure(algorithm, colorer,
     report = json.loads(capsys.readouterr().out)
     assert (report["error"], report["message"]) == ("certification-failure", "A is not a clique")
     assert report["trace"] == (trace.to_json_dict() if trace else None)
+
+
+def test_certify_refuses_a_proper_coloring_over_its_bound():
+    g = cycle_graph(5)
+    with pytest.raises(CertificationError, match=r"^bound 2\*omega exceeded$") as failure:
+        coloring._certify(g, [1, 2, 1, 2, 3], (0, 1), 2, "2*omega")
+    assert failure.value.conflict is None
+
+
+def test_certify_refuses_an_improper_coloring_within_its_bound():
+    # C4 clashes on 1-2 and on 0-3: the conflict is the lexicographically
+    # first clashing edge, although 1-2 is listed first
+    g = build_graph(4, [(1, 2), (0, 1), (2, 3), (0, 3)])
+    colors = [1, 2, 2, 1]
+    with pytest.raises(CertificationError, match="^improper coloring produced$") as failure:
+        coloring._certify(g, colors, (0, 1), 4, "2*omega")
+    clashes = sorted((u, v) for u, v in g.edges() if colors[u] == colors[v])
+    assert failure.value.conflict == clashes[0] == (0, 3)
+
+
+@pytest.mark.parametrize("colors,message,conflict", [
+    ([1, 2, 3, 4, 5], "bound 2*omega exceeded", None),
+    ([1, 2, 2, 1, 1], "improper coloring produced", [0, 4]),
+], ids=["over-bound", "improper"])
+def test_certify_refusals_end_in_exit_3(colors, message, conflict, monkeypatch, tmp_path, capsys):
+    # C5 has omega = 2: five proper colours exceed 2*omega; the second
+    # colouring clashes on 0-4, 1-2 and 3-4
+    traces = []
+
+    def construct(g, p, trace):
+        traces.append(trace)
+        return list(colors)
+
+    monkeypatch.setattr(coloring, "_color_cases", construct)
+    path = tmp_path / "c5.col"
+    path.write_text(serialize(cycle_graph(5), "dimacs"))
+    assert main(["color", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"error": "certification-failure", "message": message,
+                      "conflict": conflict, "trace": traces[0].to_json_dict()}
+    assert (report["trace"]["A"], report["trace"]["verified"]) == ([0, 1], False)
+
+
+def _k4_partition(cprime, d):
+    """A hand-built partition with A = K4 on 0..3 and the given C' cells, each
+    its own C cell, and their D sets: no member has these cells."""
+    return WBCPartition((0, 1, 2, 3), (0,) * 4, dict(cprime), dict(cprime), d)
+
+
+K4_PLUS_TWO_EDGES = build_graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                                + [(4, 5), (6, 7)])
+
+
+@pytest.mark.parametrize("g,p,message", [
+    # omega = 2, and C_{1,2} is the P3 2-3-4
+    (build_graph(5, [(0, 1), (2, 3), (3, 4)]), None, "component of C_{1,2} is not a clique"),
+    # omega <= 2 leaves C_{1,2} the pool 3, 4: a triangle overflows it
+    (build_graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)]),
+     WBCPartition((0, 1), (0, 0), {(1, 2): 0b11100}, {(1, 2): 0b11100}, {(1, 2): frozenset()}),
+     "color pool exhausted at C_{1,2}"),
+    (K4_PLUS_TWO_EDGES,
+     _k4_partition({(1, 3): 0b110000, (1, 4): 0b11000000},
+                   {(1, 3): frozenset({2, 4}), (1, 4): frozenset({2, 3})}),
+     "multiple live C' cells in row 1: [3, 4] (contradicts uniqueness)"),
+    # Case 2.1 with D = {3, 4} on both sides: N_A(S) = N_A(T) = {1, 2}
+    (K4_PLUS_TWO_EDGES,
+     _k4_partition({(1, 3): 0b110000, (2, 4): 0b11000000},
+                   {(1, 3): frozenset({3, 4}), (2, 4): frozenset({3, 4})}),
+     "N_A(S) and N_A(T) intersect in Case 2.1"),
+], ids=["cell-not-a-clique", "pool-exhausted", "two-live-cells", "neighbourhoods-meet"])
+def test_construction_refusals(g, p, message):
+    with pytest.raises(CertificationError, match=f"^{re.escape(message)}$"):
+        coloring._color_cases(g, p or build_partition(g), ColoringTrace())
+
+
+def test_a_piece_with_a_p4_is_certification_failure(monkeypatch):
+    # A = (4, 5) and I_2 = the P4 0-1-2-3: piece1 = {5} u I_2 holds a P4
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    p = WBCPartition((4, 5), (0, 0b1111), {}, {}, {})
+    monkeypatch.setattr(coloring, "_member_partition", lambda g: p)
+    with pytest.raises(CertificationError, match="^piece1 is not P4-free"):
+        color_three_omega(g)

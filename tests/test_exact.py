@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemfree import exact
 from gemfree.exact import (
+    EXACT_MAX_N,
     SizeGuardError,
     _alpha2_matching,
     _k_colorable,
@@ -32,9 +34,11 @@ from gemfree.suite import _exhaustive_chi
 
 from conftest import (
     alpha2_graphs,
+    cocktail_party,
     delete_vertex,
     dsatur_chi,
     reference_k_colorable,
+    prism,
     reference_max_clique,
     relabel,
     small_graphs,
@@ -211,6 +215,37 @@ def test_chromatic_guardrail():
     with pytest.raises(SizeGuardError):
         chromatic_number(big)
     assert chromatic_number(big, max_n=65).chi == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(alpha2_graphs(max_n=9), small_graphs(max_n=9)))
+def test_size_guard_bounds_only_the_dsatur_route(g):
+    # max_n = 0 lies below every n: an alpha <= 2 input still gets its chi by
+    # the matching route, and only an alpha > 2 input is refused
+    if max_clique(complement(g)).omega <= 2:
+        assert chromatic_number(g, max_n=0).chi == chi_alpha2_shortcut(g)
+    else:
+        with pytest.raises(SizeGuardError, match=f"n={g.n} exceeds exact-chi guardrail 0"):
+            chromatic_number(g, max_n=0)
+
+
+@pytest.mark.parametrize("build,chi", [
+    (lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (102,) * 5)), 255),
+    (lambda: prism(250), 250),
+    (lambda: cocktail_party(250), 250),
+], ids=["K[C5](102)", "prism-n500", "cocktail-party-n500"])
+def test_alpha2_chi_at_the_vertex_limit(build, chi, monkeypatch):
+    # alpha = 2 and n = 500..510, far above the default guard: the matching
+    # route answers, and the DSATUR search is never entered. K[C5](102) is the
+    # lower-bound family at omega = 204: chi = ceil(5 * 204 / 4)
+    def refuse(*args):
+        raise AssertionError("DSATUR search ran on an alpha <= 2 input")
+
+    monkeypatch.setattr(exact, "_k_colorable", refuse)
+    g = build()
+    r = chromatic_number(g)
+    assert g.n > EXACT_MAX_N and r.chi == chi == chi_alpha2_shortcut(g)
+    assert all(r.witness.colors[u] != r.witness.colors[v] for u, v in g.edges())
 
 
 def test_chromatic_number_of_the_empty_graph():

@@ -6,6 +6,7 @@ import gemfree.generators
 from gemfree.exact import chromatic_number, max_clique
 from gemfree.generators import (
     ExpansionSpec,
+    SamplingError,
     check_srg,
     class_corpus,
     complete_expansion,
@@ -171,6 +172,25 @@ def test_corpus_all_members():
     assert len(corpus) == 30
     assert all(is_class_member(g)[0] for g in corpus)
     assert all(5 <= g.n <= 10 for g in corpus)
+
+
+def test_corpus_skips_a_failed_draw(monkeypatch):
+    # a draw that exhausts its sampling budget is skipped, and the next seed
+    # fills its place: here every odd draw fails, so 6 members take 11 draws
+    draws = []
+
+    def odd_draws_fail(n, seed, strategy):
+        draws.append(seed)
+        if seed % 2:
+            raise SamplingError("attempt budget exhausted")
+        return random_class_member(n, seed, strategy)
+
+    monkeypatch.setattr(gemfree.generators, "random_class_member", odd_draws_fail)
+    corpus = class_corpus(count=6, n_range=(5, 7), seed=0)
+    assert draws == list(range(11))
+    # n cycles through 5, 6, 7 and the strategy through reject, expand, prune
+    assert corpus == [random_class_member(5 + i % 3, i, ("reject", "expand", "prune")[i % 3])
+                      for i in range(0, 11, 2)]
 
 
 def test_corpus_refuses_empty_size_range():

@@ -167,6 +167,13 @@ def test_dot_input_is_named_write_only(tmp_path, capsys):
     assert capsys.readouterr().err == "error: format 'dot' is write-only\n"
 
 
+def test_serialize_refuses_an_unknown_format():
+    # the writers' twin of parse's refusal: dot is writable, gml is neither
+    assert serialize(cycle_graph(4), "dot") == to_dot(cycle_graph(4))
+    with pytest.raises(GraphError, match="^unknown format 'gml'$"):
+        serialize(cycle_graph(4), "gml")
+
+
 def test_read_graph_infers_format(tmp_path):
     p = tmp_path / "c5.col"
     p.write_text(serialize(cycle_graph(5), "dimacs"))

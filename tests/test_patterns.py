@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from gemfree.generators import (
 )
 from gemfree.exact import max_clique
 from gemfree.graphs import (
-    GraphError, _twin_classes, bits, build_graph, cograph_coloring, complement, join,
+    GraphError, _twin_classes, bits, build_graph, cograph_coloring, join,
 )
 from gemfree.patterns import (
     DEFAULT_CLASS,
@@ -34,7 +35,15 @@ from gemfree.patterns import (
 )
 from gemfree.suite import _brute_force_contains, _labeled_codes, _pair_code
 
-from conftest import count_calls, delete_vertex, reference_find_induced, small_graphs
+from conftest import (
+    alternating_threshold,
+    cocktail_party,
+    count_calls,
+    delete_vertex,
+    prism,
+    reference_find_induced,
+    small_graphs,
+)
 
 
 def test_named_catalogue_sizes():
@@ -398,19 +407,11 @@ def test_membership_searches_only_to_name_a_witness(make, calls, monkeypatch):
     assert seen == calls
 
 
-def _prism(m):
-    """K_m □ K_2: two K_m, vertex i of one matched to vertex m + i of the
-    other. Twin-free, and every neighbourhood is K_(m-1) plus one vertex."""
-    clique = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    edges = clique + [(u + m, v + m) for u, v in clique] + [(i, m + i) for i in range(m)]
-    return build_graph(2 * m, edges, f"prism{m}")
-
-
 @pytest.mark.parametrize("make,family,member", [
     (groetzsch_graph, DEFAULT_CLASS, True),
     (schlafli_complement, DEFAULT_CLASS, True),
     (lambda: complete_expansion(ExpansionSpec(cycle_graph(5), (8,) * 5)), DEFAULT_CLASS, True),
-    (lambda: _prism(250), ("gem",), True),
+    (lambda: prism(250), ("gem",), True),
     (_gem_only_c5_expansion, DEFAULT_CLASS, False),
 ], ids=["groetzsch", "schlafli-complement", "K[C5](8)", "prism-n500-gem", "gem-only"])
 def test_gem_test_walks_cotrees_only_of_sets_with_a_p3(make, family, member, monkeypatch):
@@ -525,26 +526,16 @@ def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
     assert len(masks) == 1
 
 
-def _cocktail_party(m):
-    """K_(m x 2): the complement of the perfect matching {2i, 2i + 1}. Twin-free."""
-    return complement(build_graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]))
-
-
-def _alternating_threshold(n):
-    """Odd v adjacent to every u < v: a cograph whose cotree is about n levels deep."""
-    return build_graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
-
-
 @pytest.mark.parametrize("make,verdict,bounds", [
-    (lambda: _cocktail_party(50), (True, None), (5_000, 14_800, 0)),
-    (lambda: _prism(50), (True, None), (2_600, 0, 0)),
+    (lambda: cocktail_party(50), (True, None), (5_000, 14_800, 0)),
+    (lambda: prism(50), (True, None), (2_600, 0, 0)),
     (lambda: _c5_independent_blowup(20), (True, None), (2_100, 0, 0)),
-    (lambda: _alternating_threshold(100), (True, None), (2_501, 6_075, 0)),
-    (lambda: _with_pendant(_prism(50), 98),
+    (lambda: alternating_threshold(100), (True, None), (2_501, 6_075, 0)),
+    (lambda: _with_pendant(prism(50), 98),
      (False, PatternWitness("p3up2", (50, 98, 100, 1, 2))), (1, 0, 1)),
     (lambda: _with_pendant(_c5_independent_blowup(20), 99),
      (False, PatternWitness("p3up2", (20, 40, 21, 99, 100))), (2_001, 0, 1)),
-    (lambda: _with_pendant(_alternating_threshold(99), 98),
+    (lambda: _with_pendant(alternating_threshold(99), 98),
      (False, PatternWitness("p3up2", (0, 3, 2, 98, 99))), (2_306, 0, 1)),
 ], ids=["cocktail-party", "prism", "c5-blowup", "threshold",
         "prism-pendant", "c5-blowup-pendant", "threshold-pendant"])
@@ -559,3 +550,22 @@ def test_membership_work_at_the_ladder_shapes(make, verdict, bounds, monkeypatch
     assert is_class_member(g) == verdict
     counts = [len(c) for c in calls]
     assert all(c <= bound for c, bound in zip(counts, bounds)), counts
+
+
+def test_deepest_cotree_at_the_vertex_limit():
+    """The alternating threshold graph on 512 vertices has a cotree about 511
+    levels deep, and the cotree walk takes one frame per level. Under CPython's
+    default recursion limit of 1000, a walk that took two frames per level
+    would overflow here."""
+    g = alternating_threshold(512)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert is_p4_free(g)
+        colors = [0] * g.n
+        used = cograph_coloring(g, g.full_mask, colors)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the odd vertices and vertex 0 form a maximum clique: omega = 257
+    assert used == 257 == max_clique(g).omega == max(colors)
+    assert all(colors[u] != colors[v] for u, v in g.edges())
