@@ -10,7 +10,9 @@ When alpha(G) <= 2, chi(G) = n - nu(co-G), where nu is the size of a maximum
 matching: colour classes have at most two vertices, and the two-vertex classes
 are the matched non-edges. `chromatic_number` decides alpha <= 2 as "co-G is
 triangle-free" in O(n^2) mask operations and then runs Edmonds' blossom
-algorithm on the complement masks in O(n^3), at any n. Only alpha > 2 inputs
+algorithm on the complement masks in O(n^3), at any n. It searches for an
+augmenting path only from a root that still has a free vertex to reach, and
+the colouring is read off the matching in one pass. Only alpha > 2 inputs
 meet its size guard (n <= 64 by default) and reach the DSATUR search, which
 keeps its vertex scores incrementally, so a node picks its vertex with one
 `max` over a list.
@@ -215,39 +217,60 @@ def _alpha2_matching(g: Graph) -> list[int] | None:
     full = g.full_mask
     co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
     for u, row in enumerate(co):
-        for v in bits(row >> (u + 1) << (u + 1)):
-            if row & co[v]:
+        above = row >> (u + 1) << (u + 1)
+        while above:
+            low = above & -above
+            if row & co[low.bit_length() - 1]:
                 return None
+            above ^= low
     return _max_matching(g.n, co)
 
 
 def _max_matching(n: int, adj: list[int]) -> list[int]:
     """Maximum-cardinality matching of the graph with neighbour masks `adj`.
 
-    Edmonds' blossom algorithm: a greedy matching, then one BFS from each
-    vertex still free. The BFS grows an alternating tree from the root; an
-    edge between two outer vertices closes an odd cycle (a blossom), which is
-    contracted by pointing the `base` of its vertices at the cycle's base, and
-    the first free vertex reached ends an augmenting path that is flipped. A
-    root with no augmenting path never gets one later, so one search per root
-    suffices: O(n^3) in all. Returns `mate`, with mate[v] = -1 if v is free.
+    Edmonds' blossom algorithm: a greedy matching, then a BFS for an
+    augmenting path from each free vertex in ascending order. The BFS grows an
+    alternating tree from the root; an edge between two outer vertices closes
+    an odd cycle (a blossom), which is contracted by pointing the `base` of
+    its vertices at the cycle's base, and the first free vertex reached ends
+    an augmenting path that is flipped.
+
+    A root with no augmenting path never gets one later (Edmonds), and no
+    later search ends at it either, as that path read backwards would augment
+    from it. So `free` holds the free vertices not yet tried as roots: a
+    search from its least vertex r can end only at another of them, above r.
+    r leaves `free` whatever the search finds, and so does the end it
+    matched, if any. Once `free` holds one vertex, its search cannot succeed,
+    and the loop stops. The paths flipped are those that a search from every
+    free vertex in turn would flip, so `mate` is the same. O(n^3) in all.
+    Returns `mate`, with mate[v] = -1 if v is free.
     """
     mate = [-1] * n
     free = (1 << n) - 1
     for v in range(n):
-        cand = adj[v] & free
-        if free >> v & 1 and cand:
-            u = (cand & -cand).bit_length() - 1
-            mate[u], mate[v] = v, u
-            free &= ~(1 << u | 1 << v)
-    for root in range(n):
-        if mate[root] < 0:
-            _augment_from(root, n, adj, mate)
+        if free >> v & 1:
+            cand = adj[v] & free
+            if cand:
+                low = cand & -cand
+                u = low.bit_length() - 1
+                mate[u], mate[v] = v, u
+                free ^= low | 1 << v
+    while free & (free - 1):  # two or more
+        root = free & -free
+        end = _augment_from(root.bit_length() - 1, n, adj, mate)
+        free ^= root
+        if end >= 0:
+            free ^= 1 << end
     return mate
 
 
-def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
-    """Flip one augmenting path from the free vertex `root`, if there is one."""
+def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> int:
+    """Flip one augmenting path from the free vertex `root`, if there is one.
+
+    Returns the path's other end, the free vertex it matched, or -1 if no
+    augmenting path starts at `root`.
+    """
     base = list(range(n))
     members = [1 << v for v in range(n)]  # members[b]: vertices whose base is b
     parent = [-1] * n  # previous vertex on an alternating path: inner vertices, blossom members
@@ -280,34 +303,45 @@ def _augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
         return blossom
 
     for v in queue:
-        for to in bits(adj[v] & ~inner & ~members[base[v]]):
+        nbrs = adj[v] & ~inner & ~members[base[v]]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or mate[v] == to:  # a contraction in this scan can merge them
                 continue
-            if outer >> to & 1:
+            if outer & low:
                 b = lca(v, to)
-                blossom = mark(to, b, v, mark(v, b, to, 0))
+                rest = mark(to, b, v, mark(v, b, to, 0)) & ~(1 << b)
                 grown = 0
-                for x in bits(blossom & ~(1 << b)):
-                    grown |= members[x]
+                while rest:
+                    x = rest & -rest
+                    grown |= members[x.bit_length() - 1]
+                    rest ^= x
                 members[b] |= grown
-                for i in bits(grown):
+                while grown:
+                    x = grown & -grown
+                    grown ^= x
+                    i = x.bit_length() - 1
                     base[i] = b
-                    if not outer >> i & 1:
-                        outer |= 1 << i
-                        inner &= ~(1 << i)
+                    if not outer & x:
+                        outer |= x
+                        inner &= ~x
                         queue.append(i)
             elif parent[to] < 0:
                 parent[to] = v
-                inner |= 1 << to
+                inner |= low
                 if mate[to] < 0:  # the path root .. v, to augments: flip it
+                    end = to
                     while to >= 0:
                         p = parent[to]
                         nxt = mate[p]
                         mate[to], mate[p] = p, to
                         to = nxt
-                    return
+                    return end
                 outer |= 1 << mate[to]
                 queue.append(mate[to])
+    return -1
 
 
 def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
@@ -322,12 +356,20 @@ def chromatic_number(g: Graph, max_n: int = EXACT_MAX_N) -> ChiResult:
     """
     mate = _alpha2_matching(g)
     if mate is not None:
-        # a matched pair takes the label of its lower end, a free vertex its own
-        labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
-        return ChiResult(Coloring(first_occurrence_colors(labels)))
+        # a matched pair takes the colour of its lower end, and every other
+        # vertex the next colour: first-occurrence order by construction
+        colors = [0] * g.n
+        used = 0
+        for v, u in enumerate(mate):
+            if 0 <= u < v:
+                colors[v] = colors[u]
+            else:
+                used += 1
+                colors[v] = used
+        return ChiResult(Coloring(tuple(colors)))
     if g.n > max_n:
         raise SizeGuardError(f"n={g.n} exceeds exact-chi guardrail {max_n}")
-    clique = sorted(bits(max_clique(g).witness))
+    clique = list(bits(max_clique(g).witness))
     k = len(clique)
     while True:
         colors = _k_colorable(g, k, clique)

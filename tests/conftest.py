@@ -126,6 +126,98 @@ def reference_k_colorable(g: Graph, k: int, clique: list[int]) -> list[int] | No
     return None
 
 
+def reference_max_matching(n: int, adj: list[int]) -> list[int]:
+    """Maximum-cardinality matching of the graph with neighbour masks `adj`, as
+    `exact._max_matching` ran before it skipped searches that cannot succeed:
+    one search from each vertex still free, over `bits()` loops. Kept as the
+    oracle for the package kernel's `mate`.
+
+    Edmonds' blossom algorithm: a greedy matching, then one BFS from each
+    vertex still free. The BFS grows an alternating tree from the root; an
+    edge between two outer vertices closes an odd cycle (a blossom), which is
+    contracted by pointing the `base` of its vertices at the cycle's base, and
+    the first free vertex reached ends an augmenting path that is flipped. A
+    root with no augmenting path never gets one later, so one search per root
+    suffices: O(n^3) in all. Returns `mate`, with mate[v] = -1 if v is free.
+    """
+    mate = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        cand = adj[v] & free
+        if free >> v & 1 and cand:
+            u = (cand & -cand).bit_length() - 1
+            mate[u], mate[v] = v, u
+            free &= ~(1 << u | 1 << v)
+    for root in range(n):
+        if mate[root] < 0:
+            reference_augment_from(root, n, adj, mate)
+    return mate
+
+
+def reference_augment_from(root: int, n: int, adj: list[int], mate: list[int]) -> None:
+    """Flip one augmenting path from the free vertex `root`, if there is one."""
+    base = list(range(n))
+    members = [1 << v for v in range(n)]  # members[b]: vertices whose base is b
+    parent = [-1] * n  # previous vertex on an alternating path: inner vertices, blossom members
+    outer = 1 << root  # vertices queued as even ends of alternating paths
+    inner = 0  # odd tree vertices outside any blossom: an edge to one changes nothing
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        """Base of the blossom an edge between outer vertices a and b closes."""
+        path = 0
+        while True:
+            a = base[a]
+            path |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if path >> b & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark(v: int, b: int, child: int, blossom: int) -> int:
+        """Add the bases from v down to b to `blossom`, threading parents through child."""
+        while base[v] != b:
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return blossom
+
+    for v in queue:
+        for to in bits(adj[v] & ~inner & ~members[base[v]]):
+            if base[v] == base[to] or mate[v] == to:  # a contraction in this scan can merge them
+                continue
+            if outer >> to & 1:
+                b = lca(v, to)
+                blossom = mark(to, b, v, mark(v, b, to, 0))
+                grown = 0
+                for x in bits(blossom & ~(1 << b)):
+                    grown |= members[x]
+                members[b] |= grown
+                for i in bits(grown):
+                    base[i] = b
+                    if not outer >> i & 1:
+                        outer |= 1 << i
+                        inner &= ~(1 << i)
+                        queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                inner |= 1 << to
+                if mate[to] < 0:  # the path root .. v, to augments: flip it
+                    while to >= 0:
+                        p = parent[to]
+                        nxt = mate[p]
+                        mate[to], mate[p] = p, to
+                        to = nxt
+                    return
+                outer |= 1 << mate[to]
+                queue.append(mate[to])
+
+
 def reference_max_clique(g, within=None):
     """(omega, witness) by the plain branch and bound over the vertices of
     `within`, kept as the oracle for `max_clique`'s search on the twin

@@ -14,6 +14,7 @@ from gemfree.exact import (
     EXACT_MAX_N,
     SizeGuardError,
     _alpha2_matching,
+    _augment_from,
     _k_colorable,
     _max_matching,
     chi_alpha2_shortcut,
@@ -35,11 +36,13 @@ from gemfree.suite import _exhaustive_chi
 from conftest import (
     alpha2_graphs,
     cocktail_party,
+    count_calls,
     delete_vertex,
     dsatur_chi,
     reference_k_colorable,
     prism,
     reference_max_clique,
+    reference_max_matching,
     relabel,
     small_graphs,
     to_nx,
@@ -317,10 +320,40 @@ def blossom_graphs(draw):
 @given(blossom_graphs())
 def test_max_matching_is_maximum(g):
     mate = _max_matching(g.n, list(g.adj))
+    # the same mate list, bit for bit, as one search from every free vertex
+    assert mate == reference_max_matching(g.n, list(g.adj))
     for v, u in enumerate(mate):
         assert u == -1 or (mate[u] == v and g.has_edge(u, v))
     size = (g.n - mate.count(-1)) // 2
     assert size == len(nx.max_weight_matching(to_nx(g), maxcardinality=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha2_graphs(max_n=14))
+def test_alpha2_route_matches_reference_matching(g):
+    # on the complement rows the alpha <= 2 route matches, the same mate, and
+    # the colouring is the reference mate's pairs numbered by first occurrence
+    co = list(complement(g).adj)
+    mate = reference_max_matching(g.n, co)
+    assert _max_matching(g.n, co) == mate
+    labels = [u + 1 if 0 <= u < v else v + 1 for v, u in enumerate(mate)]
+    assert chromatic_number(g).witness.colors == first_occurrence_colors(labels)
+
+
+@pytest.mark.parametrize("m,searches", [(1, 0), (3, 1), (5, 2), (51, 25), (102, 51)])
+def test_matching_searches_on_the_lower_bound_family(m, searches, monkeypatch):
+    # K[C5](m): one augmenting-path search per free root that still has a
+    # free vertex to reach, and none once a single free vertex is left
+    g = complete_expansion(ExpansionSpec(cycle_graph(5), (m,) * 5))
+    calls = count_calls(monkeypatch, _augment_from)
+    mate = _alpha2_matching(g)
+    assert g.n - (g.n - mate.count(-1)) // 2 == math.ceil(5 * m / 2)
+    assert len(calls) == searches
+    if g.n % 2:
+        # the one vertex free at the end was free at every search, and lies
+        # above every root: no search started from the last free vertex
+        last = mate.index(-1)
+        assert mate.count(-1) == 1 and all(root < last for root, *_ in calls)
 
 
 @settings(max_examples=150, deadline=None)
