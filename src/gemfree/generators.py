@@ -77,7 +77,7 @@ def mycielskian(g: Graph) -> Graph:
 
 def groetzsch_graph() -> Graph:
     g = mycielskian(cycle_graph(5))
-    return _trusted_graph(g.n, g.adj, "groetzsch")
+    return _trusted_graph(g.adj, "groetzsch")
 
 
 @functools.cache

@@ -60,7 +60,7 @@ def parse_dimacs(text: str, name: str = "") -> Graph:
         raise GraphError("missing DIMACS header")
     if found != m:
         raise GraphError(f"expected {m} edge lines, found {found}")
-    return _trusted_graph(n, tuple(adj), name)
+    return _trusted_graph(tuple(adj), name)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -95,7 +95,7 @@ def parse_edgelist(text: str, name: str = "") -> Graph:
             raise GraphError(f"{problem} on line {lineno}: {ln!r}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _trusted_graph(n, tuple(adj), name)
+    return _trusted_graph(tuple(adj), name)
 
 
 def to_edgelist(g: Graph) -> str:
@@ -134,7 +134,7 @@ def parse_json_graph(text: str, name: str = "") -> Graph:
     name = data.get("name", name)
     if not isinstance(name, str):
         raise GraphError(f"bad JSON graph object: name must be a string, got {name!r}")
-    return _trusted_graph(n, tuple(adj), name)
+    return _trusted_graph(tuple(adj), name)
 
 
 def to_json_graph(g: Graph) -> str:

@@ -59,16 +59,15 @@ def _components(adj: tuple[int, ...], remaining: int, flip: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; `adj[v]` is the neighbor bitmask of v."""
+    """Simple undirected graph: rows (adj[v] is v's neighbor bitmask), a name, n = len(adj)."""
 
-    n: int
     adj: tuple[int, ...]
     name: str = ""
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", len(self.adj))
         _check_vertex_count(self.n)
-        if len(self.adj) != self.n:
-            raise GraphError("adjacency row count does not match n")
         full = self.full_mask
         for v, row in enumerate(self.adj):
             if row & ~full:
@@ -126,13 +125,13 @@ def _vertex_mask(g: Graph, within: int | None) -> int:
     return within
 
 
-def _trusted_graph(n: int, adj: tuple[int, ...], name: str = "") -> Graph:
-    """`Graph(n, adj, name)` for rows that are in range, loop-free and
-    symmetric by construction: only the vertex count is checked, as a join or
-    a disjoint union can exceed it."""
-    _check_vertex_count(n)
+def _trusted_graph(adj: tuple[int, ...], name: str = "") -> Graph:
+    """`Graph(adj, name)` for rows that are in range, loop-free and
+    symmetric by construction: only the vertex count len(adj) is checked, as
+    a join or a disjoint union can exceed it."""
+    _check_vertex_count(len(adj))
     g = object.__new__(Graph)
-    g.__dict__.update(n=n, adj=adj, name=name)
+    g.__dict__.update(adj=adj, name=name, n=len(adj))
     return g
 
 
@@ -147,18 +146,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
             raise GraphError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _trusted_graph(n, tuple(adj), name)
+    return _trusted_graph(tuple(adj), name)
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return _trusted_graph(g.n, adj, f"co-{g.name}" if g.name else "")
+    return _trusted_graph(adj, f"co-{g.name}" if g.name else "")
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return _trusted_graph(g1.n + g2.n, tuple(adj))
+    return _trusted_graph(tuple(adj))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -166,7 +165,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     right_full = ((1 << g2.n) - 1) << g1.n
     adj = [row | right_full for row in g1.adj]
     adj += [(row << g1.n) | left_full for row in g2.adj]
-    return _trusted_graph(g1.n + g2.n, tuple(adj))
+    return _trusted_graph(tuple(adj))
 
 
 def _twin_classes(g: Graph, mask: int, closed: bool = True) -> dict[int, int]:

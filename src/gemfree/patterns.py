@@ -155,15 +155,14 @@ def is_class_member(
     `find_induced` only to name the lex-least witness. Any other pattern is
     searched with `find_induced`.
     """
-    classes = None
-    for key in tuple(map(pattern, forbidden)):
+    keys = tuple(map(pattern, forbidden))
+    classes = _twin_classes(host, host.full_mask)
+    reps = mask_of(classes)
+    for key in keys:
         witness = _STRUCTURAL.get(key)
         if witness is None:
             w = find_induced(host, key)
         else:
-            if classes is None:
-                classes = _twin_classes(host, host.full_mask)
-                reps = mask_of(classes)
             w = witness(host, classes, reps)
         if w is not None:
             return False, w

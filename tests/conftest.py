@@ -44,7 +44,7 @@ def alpha2_graphs(draw, max_n=8):
         if not adj[u] & adj[v]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return complement(Graph(n, tuple(adj)))
+    return complement(Graph(tuple(adj)))
 
 
 def dsatur_chi(g):
@@ -308,6 +308,20 @@ def alternating_threshold(n):
     return build_graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
 
 
+def c5_independent_blowup(m):
+    """C5[I_m]: bag i = m*i .. m*i + m - 1, an independent set, joined to the
+    bags i - 1 and i + 1 mod 5. No two vertices are true twins; each bag is
+    a false-twin class."""
+    edges = [(m * i + a, m * ((i + 1) % 5) + b) for i in range(5) for a in range(m) for b in range(m)]
+    return build_graph(5 * m, edges)
+
+
+def with_pendant(g, v):
+    """G plus vertex n adjacent to v only. A pendant at 5m - 1 of C5[I_m]
+    takes that vertex out of the last false-twin class."""
+    return build_graph(g.n + 1, [*g.edges(), (v, g.n)])
+
+
 def template_members(clique, sides, draws, seed):
     """The class members among `draws` seeded graphs: K_clique on 0..clique-1
     plus 4-6 extra vertices, each adjacent to exactly one vertex of `sides`
@@ -343,7 +357,7 @@ def relabel(g, perm):
         for u in bits(g.adj[v]):
             row |= 1 << perm[u]
         adj[perm[v]] = row
-    return Graph(g.n, tuple(adj), g.name)
+    return Graph(tuple(adj), g.name)
 
 
 def delete_vertex(g, v):

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ import gemfree
 from gemfree import cli, coloring, exact, suite
 from gemfree.cli import build_parser, main
 from gemfree.coloring import color_three_omega, color_two_omega
-from gemfree.exact import chromatic_number, max_clique
+from gemfree.exact import ChiResult, chromatic_number, max_clique
 from gemfree.graph_io import FORMATS, read_graph, serialize
 from gemfree.generators import (
     ExpansionSpec,
@@ -27,8 +28,9 @@ from gemfree.generators import (
     random_class_member,
     schlafli_complement,
 )
-from gemfree.partition import build_partition
-from gemfree.patterns import NAMED_PATTERNS, cycle_graph, is_class_member
+from gemfree.graphs import Coloring
+from gemfree.partition import CheckReport, build_partition
+from gemfree.patterns import NAMED_PATTERNS, cycle_graph, is_class_member, path_graph
 from gemfree.suite import CriterionResult
 
 from conftest import count_calls, small_graphs, token_texts
@@ -366,6 +368,36 @@ def test_witness_facts_of_a_non_member(monkeypatch):
     monkeypatch.setattr(suite, "groetzsch_graph", lambda: gem)
     res = suite.criterion_1_groetzsch()
     assert not res.passed and res.details["member"] is False
+
+
+# Each stub makes one criterion's callee give a wrong answer, so the criterion
+# builds the failure records `gemfree suite` prints when a proved statement fails.
+@pytest.mark.parametrize("criterion,callee,stub,records", [
+    (suite.criterion_4_theorem_bound, "color_two_omega",
+     lambda g: (Coloring((1,) * g.n), SimpleNamespace(A=(), verified=False)),
+     {"failures": {"index", "n", "omega", "chi", "colors"}}),
+    (suite.criterion_5_proposition_bound, "_three_omega",
+     lambda g: (Coloring(tuple(range(1, g.n + 1))), 0),
+     {"failures": {"index", "n", "omega", "colors"}}),
+    (suite.criterion_6_lemma_suite, "run_all_checks",
+     lambda g, p: {"fact1": CheckReport("fact1", ({"clause": "(i)", "bindings": {},
+                                                    "witness": []},))},
+     {"failures": {"index", "n", "check", "failures"}}),
+    (suite.criterion_7_pattern_oracle, "find_induced", lambda g, name: None,
+     {"mismatches": {"i", "pattern", "n", "edges", "fast", "brute"}}),
+    (suite.criterion_8_exact_oracle, "chromatic_number", lambda g: ChiResult(Coloring(())),
+     {"mismatches": {"i", "n", "edges", "fast", "brute"},
+      "mycielski_failures": {"i", "n", "edges"}}),
+], ids=["4", "5", "6", "7", "8"])
+def test_suite_criterion_reports_its_failures(monkeypatch, criterion, callee, stub, records):
+    monkeypatch.setattr(suite, "_sampled_corpus", lambda seed, count: [cycle_graph(5),
+                                                                        path_graph(4)])
+    monkeypatch.setattr(suite, callee, stub)
+    res = criterion(0, 200)
+    assert not res.passed and not res.skipped
+    for detail, keys in records.items():
+        assert res.details[detail] and all(rec.keys() == keys for rec in res.details[detail])
+    json.dumps(res.to_json_dict())
 
 
 def test_proposition_criterion_finds_omega_once_per_graph(monkeypatch):

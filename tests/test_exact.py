@@ -255,6 +255,7 @@ def test_chromatic_number_of_the_empty_graph():
     # alpha <= 2 holds vacuously: the matching route answers chi = 0
     r = chromatic_number(build_graph(0, []))
     assert r.chi == 0 and r.witness.colors == () and r.witness.num_colors == 0
+    assert _exhaustive_chi(build_graph(0, [])) == 0  # the suite's oracle agrees
 
 
 def test_chromatic_witness_is_proper_and_optimal_count():

@@ -65,7 +65,7 @@ def test_mycielskian_k2_is_c5():
 def test_groetzsch_counts():
     g = groetzsch_graph()
     assert g.n == 11 and g.num_edges == 20
-    assert Graph(g.n, g.adj, "groetzsch") == g  # the rows pass the full check
+    assert Graph(g.adj, "groetzsch") == g  # the rows pass the full check
     assert max_clique(g).omega == 2
     assert chromatic_number(g).chi == 4
 

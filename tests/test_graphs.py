@@ -137,22 +137,28 @@ def test_coloring_num_colors_is_largest_color():
         Coloring((1, 2), 3)
 
 
-@pytest.mark.parametrize("n,adj,message", [
-    (2, (0b10,), "row count does not match n"),
-    (2, (0b100, 0b000), "row 0 has bits >= n"),
-    (2, (0b01, 0b00), "self-loop at vertex 0"),
-    (2, (0b10, 0b00), "asymmetric adjacency between 1 and 0"),
-], ids=["row-count", "bit-beyond-n", "self-loop", "asymmetric"])
-def test_graph_rejects_malformed_rows(n, adj, message):
+def test_graph_n_is_its_row_count():
+    assert Graph((0b10, 0b01), "k2").n == 2
+    assert Graph(()).n == 0
+    with pytest.raises(TypeError):
+        Graph((0, 0), "x", 3)
+
+
+@pytest.mark.parametrize("adj,message", [
+    ((0b100, 0b000), "row 0 has bits >= n"),
+    ((0b01, 0b00), "self-loop at vertex 0"),
+    ((0b10, 0b00), "asymmetric adjacency between 1 and 0"),
+], ids=["bit-beyond-n", "self-loop", "asymmetric"])
+def test_graph_rejects_malformed_rows(adj, message):
     with pytest.raises(GraphError, match=message):
-        Graph(n, adj)
+        Graph(adj)
 
 
 @given(small_graphs(min_n=0, max_n=6), small_graphs(min_n=0, max_n=6))
 def test_unchecked_constructions_pass_every_check(g1, g2):
     # build_graph, complement, join and disjoint_union skip the row checks
     for g in (g1, complement(g1), join(g1, g2), disjoint_union(g1, g2)):
-        assert Graph(g.n, g.adj, g.name) == g
+        assert Graph(g.adj, g.name) == g
 
 
 def test_twin_classes_merge_inside_a_mask():

@@ -30,7 +30,7 @@ from conftest import small_graphs, token_texts
 
 @given(small_graphs(max_n=10), st.text())
 def test_roundtrip_all_formats(g, name):
-    g = Graph(g.n, g.adj, name)
+    g = Graph(g.adj, name)
     for fmt in ("dimacs", "edgelist", "json"):
         back = parse(serialize(g, fmt), fmt)
         assert back.n == g.n and back.adj == g.adj

@@ -37,12 +37,14 @@ from gemfree.suite import _brute_force_contains, _labeled_codes, _pair_code
 
 from conftest import (
     alternating_threshold,
+    c5_independent_blowup,
     cocktail_party,
     count_calls,
     delete_vertex,
     prism,
     reference_find_induced,
     small_graphs,
+    with_pendant,
 )
 
 
@@ -494,26 +496,12 @@ def test_p3up2_witness_inside_both_twin_masks(g):
     assert is_class_member(g, ("p3up2",))[1] == reference_find_induced(g, "p3up2")
 
 
-def _c5_independent_blowup(m):
-    """C5[I_m]: bag i = m*i .. m*i + m - 1, an independent set, joined to the
-    bags i - 1 and i + 1 mod 5. No two vertices are true twins; each bag is
-    a false-twin class."""
-    edges = [(m * i + a, m * ((i + 1) % 5) + b) for i in range(5) for a in range(m) for b in range(m)]
-    return build_graph(5 * m, edges)
-
-
-def _with_pendant(g, v):
-    """G plus vertex n adjacent to v only. A pendant at 5m - 1 of C5[I_m]
-    takes that vertex out of the last false-twin class."""
-    return build_graph(g.n + 1, [*g.edges(), (v, g.n)])
-
-
 def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
     """C5[I_100] plus a pendant at vertex 499 (n = 501): the true-twin mask is
     every vertex, the false-twin mask 12, and the search runs inside those 12.
     A search of all 501 vertices walks every partial P3 u P2 on bags 0 and 1
     for minutes before it reaches the witness."""
-    g = _with_pendant(_c5_independent_blowup(100), 499)
+    g = with_pendant(c5_independent_blowup(100), 499)
     masks = []
 
     def bounded(host, pat, within=None):
@@ -529,13 +517,13 @@ def test_witness_search_at_scale_runs_on_both_kinds_of_twin(monkeypatch):
 @pytest.mark.parametrize("make,verdict,bounds", [
     (lambda: cocktail_party(50), (True, None), (5_000, 14_800, 0)),
     (lambda: prism(50), (True, None), (2_600, 0, 0)),
-    (lambda: _c5_independent_blowup(20), (True, None), (2_100, 0, 0)),
+    (lambda: c5_independent_blowup(20), (True, None), (2_100, 0, 0)),
     (lambda: alternating_threshold(100), (True, None), (2_501, 6_075, 0)),
-    (lambda: _with_pendant(prism(50), 98),
+    (lambda: with_pendant(prism(50), 98),
      (False, PatternWitness("p3up2", (50, 98, 100, 1, 2))), (1, 0, 1)),
-    (lambda: _with_pendant(_c5_independent_blowup(20), 99),
+    (lambda: with_pendant(c5_independent_blowup(20), 99),
      (False, PatternWitness("p3up2", (20, 40, 21, 99, 100))), (2_001, 0, 1)),
-    (lambda: _with_pendant(alternating_threshold(99), 98),
+    (lambda: with_pendant(alternating_threshold(99), 98),
      (False, PatternWitness("p3up2", (0, 3, 2, 98, 99))), (2_306, 0, 1)),
 ], ids=["cocktail-party", "prism", "c5-blowup", "threshold",
         "prism-pendant", "c5-blowup-pendant", "threshold-pendant"])
