@@ -58,8 +58,6 @@ def _base_report(args: argparse.Namespace, input_sha256: str | None = None, **ex
     if input_sha256 is not None:
         rep["input"] = args.path
         rep["input_sha256"] = input_sha256
-    if getattr(args, "seed", None) is not None:
-        rep["seed"] = args.seed
     rep.update(extra)
     return rep
 
@@ -190,6 +188,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     results = run_suite(seed=args.seed, size_budget=args.size_budget)
     rep = _base_report(
         args,
+        seed=args.seed,
         size_budget=args.size_budget,
         criteria=[r.to_json_dict() for r in results],
         all_passed=all(r.passed for r in results),

@@ -84,29 +84,17 @@ def groetzsch_graph() -> Graph:
 def schlafli_complement() -> Graph:
     """Intersection graph of the 27 lines on a cubic surface.
 
-    Vertices: a_1..a_6, b_1..b_6, c_{ij} (i<j). Adjacency: a_i ~ b_j iff
-    i != j; a_i, b_i ~ c_{jk} iff i in {j,k}; c_{ij} ~ c_{kl} iff the index
-    pairs are disjoint. Verified strongly regular (27, 10, 1, 5) on the one
-    build per process; the graph is immutable, so every call returns it.
+    Vertices: a_1..a_6 (0..5), b_1..b_6 (6..11), c_{ij} (i<j; 12 plus the
+    lexicographic index of (i, j)). Adjacency: a_i ~ b_j iff i != j;
+    a_k, b_k ~ c_{ij} iff k in {i,j}; c_{ij} ~ c_{kl} iff the index pairs
+    are disjoint. Verified strongly regular (27, 10, 1, 5) on the one build
+    per process; the graph is immutable, so every call returns it.
     """
-    labels: list[tuple[str, object]] = [("a", i) for i in range(1, 7)]
-    labels += [("b", i) for i in range(1, 7)]
-    labels += [("c", frozenset(p)) for p in itertools.combinations(range(1, 7), 2)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for x, y in itertools.combinations(labels, 2):
-        tx, vx = x
-        ty, vy = y
-        if {tx, ty} == {"a", "b"}:
-            adj = vx != vy
-        elif tx in "ab" and ty == "c":
-            adj = vx in vy  # type: ignore[operator]
-        elif tx == "c" and ty == "c":
-            adj = not (vx & vy)  # type: ignore[operator]
-        else:  # a-a or b-b: skew lines
-            adj = False
-        if adj:
-            edges.append((index[x], index[y]))
+    pairs = list(itertools.combinations(range(6), 2))
+    edges = [(i, 6 + j) for i in range(6) for j in range(6) if i != j]
+    for c, (i, j) in enumerate(pairs, 12):
+        edges += [(i, c), (j, c), (6 + i, c), (6 + j, c)]
+        edges += [(c, d) for d, p in enumerate(pairs, 12) if not {i, j} & set(p)]
     g = build_graph(27, edges, "schlafli-complement")
     params = check_srg(g)
     if params != (27, 10, 1, 5):
@@ -222,21 +210,17 @@ def _random_composition(total: int, parts: int, rng: random.Random) -> list[int]
     return out
 
 
-def class_corpus(count: int = 200, n_range: tuple[int, int] = (5, 14),
-                 seed: int = 0) -> list[Graph]:
-    """Deterministic corpus of class members for property and acceptance tests.
+def class_corpus(count: int = 200, seed: int = 0) -> list[Graph]:
+    """Deterministic corpus of class members on 5..14 vertices, for property and
+    acceptance tests.
 
     Small sizes come from rejection sampling, larger ones from expansions and
     pruning, so the corpus mixes sparse members with omega >= 3 structure.
     """
-    lo, hi = n_range
-    if lo > hi:
-        raise GraphError(f"empty size range n_range={n_range}: min {lo} > max {hi}")
-    sizes = list(range(lo, hi + 1))
     corpus: list[Graph] = []
     i = 0
     while len(corpus) < count:
-        n = sizes[i % len(sizes)]
+        n = 5 + i % 10
         if n <= 8:
             strategy = ("reject", "expand", "prune")[i % 3]
         else:

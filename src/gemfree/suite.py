@@ -116,7 +116,7 @@ def _corpus(seed: int, size_budget: int) -> list[Graph]:
 @functools.cache
 def _sampled_corpus(seed: int, count: int) -> list[Graph]:
     """Sampled once per seed and count: criteria 4-6 share it."""
-    return class_corpus(count=count, n_range=(5, 14), seed=seed)
+    return class_corpus(count=count, seed=seed)
 
 
 def criterion_4_theorem_bound(seed: int, size_budget: int) -> CriterionResult:

@@ -402,4 +402,4 @@ def corpus():
     """Deterministic class-member corpus shared across the slower tests."""
     from gemfree.generators import class_corpus
 
-    return class_corpus(count=60, n_range=(5, 14), seed=1)
+    return class_corpus(count=60, seed=1)

@@ -96,6 +96,18 @@ def test_schlafli_complement_is_built_once():
     assert schlafli_complement() is schlafli_complement()
 
 
+def test_schlafli_complement_refuses_a_failed_srg_check(monkeypatch):
+    monkeypatch.setattr(gemfree.generators, "check_srg", lambda g: (27, 10, 2, 5))
+    schlafli_complement.cache_clear()
+    try:
+        with pytest.raises(GraphError, match=r"^27-lines construction failed SRG check: "
+                                             r"\(27, 10, 2, 5\)$"):
+            schlafli_complement()
+    finally:
+        # later tests rebuild the real graph, with the real check
+        schlafli_complement.cache_clear()
+
+
 @pytest.mark.parametrize("g,params", [
     (cycle_graph(5), (5, 2, 0, 1)),
     (build_graph(10, list(nx.petersen_graph().edges())), (10, 3, 0, 1)),
@@ -168,10 +180,10 @@ def test_reject_guardrail():
 
 
 def test_corpus_all_members():
-    corpus = class_corpus(count=30, n_range=(5, 10), seed=7)
+    corpus = class_corpus(count=30, seed=7)
     assert len(corpus) == 30
     assert all(is_class_member(g)[0] for g in corpus)
-    assert all(5 <= g.n <= 10 for g in corpus)
+    assert all(5 <= g.n <= 14 for g in corpus)
 
 
 def test_corpus_skips_a_failed_draw(monkeypatch):
@@ -186,13 +198,10 @@ def test_corpus_skips_a_failed_draw(monkeypatch):
         return random_class_member(n, seed, strategy)
 
     monkeypatch.setattr(gemfree.generators, "random_class_member", odd_draws_fail)
-    corpus = class_corpus(count=6, n_range=(5, 7), seed=0)
+    corpus = class_corpus(count=6, seed=0)
     assert draws == list(range(11))
-    # n cycles through 5, 6, 7 and the strategy through reject, expand, prune
-    assert corpus == [random_class_member(5 + i % 3, i, ("reject", "expand", "prune")[i % 3])
-                      for i in range(0, 11, 2)]
-
-
-def test_corpus_refuses_empty_size_range():
-    with pytest.raises(GraphError, match=r"empty size range n_range=\(10, 5\)"):
-        class_corpus(n_range=(10, 5))
+    # draw i has n = 5 + i % 10; its strategy cycles through reject, expand,
+    # prune by i % 3 for n <= 8, and through expand, prune by i % 2 above it
+    kept = [(0, 5, "reject"), (2, 7, "prune"), (4, 9, "expand"),
+            (6, 11, "expand"), (8, 13, "expand"), (10, 5, "expand")]
+    assert corpus == [random_class_member(n, i, strategy) for i, n, strategy in kept]
